@@ -18,17 +18,14 @@ import (
 
 // cmember is the coordinator-side state of one batch cell.
 type cmember struct {
-	cell     service.BatchCell
-	jobRef   string // "w<id>:<jobID or groupID>" once dispatched
+	cell service.BatchCell
+	// jobRef names the worker-side batch ("w<id>:<batch ID>") running the
+	// cell, or — once terminal — the one whose result it kept.
+	jobRef   string
 	state    service.State
 	cacheHit bool
 	err      string
 	result   *registry.Result
-	// w and jobID name the in-flight dispatch target for cancel fan-out;
-	// group distinguishes a job-group target from a single job.
-	w     *worker
-	jobID string
-	group bool
 }
 
 // cbatch is one sharded batch.
@@ -40,8 +37,8 @@ type cbatch struct {
 	traceID string
 	tenant  string
 	timeout time.Duration
-	// ctx is canceled by CancelBatch and Close; every slot wait and poll
-	// select observes it.
+	// ctx is canceled by CancelBatch and Close; every slot wait and result
+	// stream observes it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	graphs map[string]*pinnedGraph
@@ -51,7 +48,6 @@ type cbatch struct {
 	state      service.BatchState
 	cancelReq  bool
 	dispatched int
-	terminal   int
 	done       int
 	failed     int
 	canceled   int
@@ -78,7 +74,7 @@ func (bt *cbatch) signalProgressLocked() {
 // SubmitBatch validates and launches a sharded batch: the spec expands
 // through the same service.BatchSpec code path as a single-node batch, every
 // referenced graph is pinned in the coordinator's local store, and one
-// dispatch goroutine per cell runs it on the owning worker (gated by that
+// dispatch goroutine per unit runs it on the owning worker (gated by that
 // worker's in-flight window). Poll GetBatch or WaitBatch for progress.
 func (c *Coordinator) SubmitBatch(spec service.BatchSpec) (service.BatchView, error) {
 	c.mu.Lock()
@@ -138,30 +134,18 @@ func (c *Coordinator) SubmitBatch(spec service.BatchSpec) (service.BatchView, er
 	return bt.view(), nil
 }
 
-// run dispatches the batch — grouped by default, one job per cell under
-// Config.PerCell — and finalizes it once all cells are terminal. Either way
-// each dispatch unit runs its own goroutine gated by the target worker's
-// window.
+// run dispatches the batch's units, each on its own goroutine gated by the
+// target worker's window, and finalizes the batch once all cells are
+// terminal.
 func (c *Coordinator) run(bt *cbatch) {
 	defer c.runWG.Done()
 	var wg sync.WaitGroup
-	if c.cfg.PerCell {
-		wg.Add(len(bt.cells))
-		for i := range bt.cells {
-			go func(i int) {
-				defer wg.Done()
-				c.runCell(bt, i)
-			}(i)
-		}
-	} else {
-		groups := c.groupBatch(bt)
-		wg.Add(len(groups))
-		for _, dg := range groups {
-			go func(dg *dgroup) {
-				defer wg.Done()
-				c.runGroup(bt, dg)
-			}(dg)
-		}
+	for _, u := range c.unitsOf(bt) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.runUnit(bt, u)
+		}()
 	}
 	wg.Wait()
 
@@ -199,8 +183,18 @@ func (c *Coordinator) run(bt *cbatch) {
 }
 
 // errWorkerDown reports that a dispatch target was marked down while the
-// cell waited on its window slot — re-place without recording a new failure.
+// unit waited on its window slot — re-place without recording a new failure.
 var errWorkerDown = errors.New("cluster: worker went down before dispatch")
+
+// errStalled cancels a result stream that carried no byte, keepalives
+// included, for a whole idle limit (RequestTimeout, at least three
+// keepalives).
+var errStalled = errors.New("cluster: worker stream stalled")
+
+// errRedispatch reports a healthy worker that did not run the unit's open
+// cells — a 429 (the worker key's rate or stream bound) or a result stream
+// answered 404 — so they are retried without marking the worker down.
+var errRedispatch = errors.New("cluster: worker refused the unit")
 
 // cellOutcome is the application-level result of running a cell on a worker;
 // worker-level failures travel as errors beside it.
@@ -211,244 +205,24 @@ type cellOutcome struct {
 	result   *registry.Result
 }
 
-// runCell places one cell on the ring and runs it, re-placing onto the next
-// healthy worker each time a worker-level failure is observed (transport
-// error, 5xx, hung connection). Application-level failures (the algorithm
-// returned an error on the worker) are terminal: they are deterministic and
-// would fail anywhere.
-func (c *Coordinator) runCell(bt *cbatch, i int) {
-	cell := bt.cells[i].cell
-	pg := bt.graphs[cell.Graph]
-	ctrace := obs.ChildTraceID(bt.traceID, i)
-	// Every retry marks a worker down first, so the attempt budget only
-	// needs to cover the fleet plus a margin for races with revival.
-	maxAttempts := 2 * len(c.workers)
-	var lastErr error
-	for attempts := 0; ; {
-		if bt.ctx.Err() != nil {
-			bt.finishCell(i, cellOutcome{state: service.Canceled})
-			return
-		}
-		w := c.owner(pg.fp)
-		if w == nil {
-			msg := "cluster: no healthy workers"
-			if lastErr != nil {
-				msg = fmt.Sprintf("%s (last worker error: %v)", msg, lastErr)
-			}
-			bt.finishCell(i, cellOutcome{state: service.Failed, errMsg: msg})
-			return
-		}
-		attemptStart := time.Now()
-		out, err := c.runOnWorker(bt, i, w, pg, ctrace)
-		if err == nil {
-			bt.finishCell(i, out)
-			return
-		}
-		if errors.Is(err, errWorkerDown) {
-			// The worker was downed (by another cell or a probe) between
-			// placement and dispatch: nothing new was learned about it, so
-			// just re-place — owner() will skip it now.
-			c.log.Info("cell re-placed", "event", "cell_replace",
-				"batch", bt.id, "trace", ctrace, "worker", w.url)
-			continue
-		}
-		c.markDown(w, err)
-		c.cellRetries.Add(1)
-		lastErr = err
-		c.log.Warn("cell retry", "event", "cell_retry",
-			"batch", bt.id, "trace", ctrace, "worker", w.url,
-			"attempt", attempts+1, "duration", time.Since(attemptStart),
-			"error", err.Error())
-		if attempts++; attempts >= maxAttempts {
-			bt.finishCell(i, cellOutcome{
-				state:  service.Failed,
-				errMsg: fmt.Sprintf("cluster: giving up after %d attempts: %v", attempts, lastErr),
-			})
-			return
-		}
-	}
+// unit is one dispatch group: up to Config.GroupSize cells sharing a graph
+// and every parameter except the seed, shipped to a worker as one batch of
+// explicit cells (one graph lookup, one submit, one result stream).
+type unit struct {
+	idxs  []int // batch cell indices, in expansion order
+	graph string
+	// open counts the unit's cells not yet terminal; guarded by the batch
+	// mutex.
+	open int
 }
 
-// runOnWorker executes one cell attempt on w: acquire a window slot, ensure
-// the graph is uploaded, submit the job, poll to terminal. A non-nil error
-// means the worker failed (caller re-places); application outcomes — done,
-// failed, canceled, cache hit — come back in the cellOutcome.
-func (c *Coordinator) runOnWorker(bt *cbatch, i int, w *worker, pg *pinnedGraph, ctrace string) (cellOutcome, error) {
-	select {
-	case w.slots <- struct{}{}:
-	case <-bt.ctx.Done():
-		return cellOutcome{state: service.Canceled}, nil
-	}
-	defer func() { <-w.slots }()
-	// The slot wait can outlive the placement decision: cells queued behind
-	// a worker's window must not pay a request timeout against a worker
-	// that was marked down while they waited.
-	if !w.isHealthy() {
-		return cellOutcome{}, errWorkerDown
-	}
-	w.mu.Lock()
-	w.inFlight++
-	w.dispatched++
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.inFlight--
-		w.mu.Unlock()
-	}()
-	c.cellsDispatched.Add(1)
-
-	cell := bt.cells[i].cell
-	if err := c.ensureGraph(bt.ctx, w, cell.Graph, pg); err != nil {
-		if bt.ctx.Err() != nil {
-			return cellOutcome{state: service.Canceled}, nil
-		}
-		// Same triage as the submit path: a deterministic 4xx (e.g. an
-		// unrepairable stale binding) fails the cell, it does not indict
-		// the worker; transport errors and 5xx do.
-		var apiErr *httpapi.APIError
-		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
-			return cellOutcome{
-				state:  service.Failed,
-				errMsg: fmt.Sprintf("cluster: uploading %s to %s: %v", cell.Graph, w.url, err),
-			}, nil
-		}
-		return cellOutcome{}, err
-	}
-
-	req := httpapi.SubmitRequest{
-		Algo:      cell.Algo,
-		GraphName: cell.Graph,
-		Params:    httpapi.ParamsWire(cell.Params),
-		TimeoutMs: bt.timeout.Milliseconds(),
-		TraceID:   ctrace,
-	}
-	var jr httpapi.JobResponse
-	backoff := c.cfg.PollInterval
-	for uploads := 0; ; {
-		var err error
-		jr, err = w.client.SubmitJob(bt.ctx, req)
-		if err == nil {
-			break
-		}
-		if bt.ctx.Err() != nil {
-			return cellOutcome{state: service.Canceled}, nil
-		}
-		var apiErr *httpapi.APIError
-		if !errors.As(err, &apiErr) || apiErr.Status >= http.StatusInternalServerError {
-			// Not our wire format, or a 5xx: queue saturation backs off on
-			// the same worker (exponentially — a saturated queue must not be
-			// hammered at poll cadence), everything else is a worker failure.
-			if isQueueFull(err) {
-				select {
-				case <-time.After(backoff):
-					backoff = min(2*backoff, 250*time.Millisecond)
-					continue
-				case <-bt.ctx.Done():
-					return cellOutcome{state: service.Canceled}, nil
-				}
-			}
-			return cellOutcome{}, err
-		}
-		if apiErr.Status == http.StatusNotFound && uploads < 2 {
-			// The worker evicted our graph between upload and submit
-			// (capacity pressure on its store); re-upload and retry.
-			uploads++
-			w.mu.Lock()
-			delete(w.uploaded, cell.Graph)
-			w.mu.Unlock()
-			if err := c.ensureGraph(bt.ctx, w, cell.Graph, pg); err != nil {
-				if bt.ctx.Err() != nil {
-					return cellOutcome{state: service.Canceled}, nil
-				}
-				return cellOutcome{}, err
-			}
-			continue
-		}
-		// Remaining 4xx are deterministic rejections; the cell fails for good.
-		return cellOutcome{state: service.Failed, errMsg: apiErr.Message}, nil
-	}
-	bt.noteDispatched(i, w, jr.ID)
-	dispatchedAt := time.Now()
-	c.log.Info("cell dispatched", "event", "cell_dispatch",
-		"batch", bt.id, "trace", ctrace, "worker", w.url, "job", jr.ID)
-
-	straggler := false
-	for {
-		if service.State(jr.State).Terminal() {
-			res, err := jr.Result.ToResult()
-			if err != nil {
-				// A result the coordinator cannot decode is deterministic
-				// (version skew, not a flaky worker): retrying it elsewhere
-				// would fail identically and down the whole ring, so the
-				// cell fails terminally like any application failure.
-				return cellOutcome{
-					state:  service.Failed,
-					errMsg: fmt.Sprintf("cluster: worker %s returned a bad result: %v", w.url, err),
-				}, nil
-			}
-			return cellOutcome{
-				state:    service.State(jr.State),
-				cacheHit: jr.CacheHit,
-				errMsg:   jr.Error,
-				result:   res,
-			}, nil
-		}
-		if d := c.cfg.StragglerAfter; d > 0 && !straggler && time.Since(dispatchedAt) > d {
-			// Surfaced once per dispatch so an operator (or a future hedging
-			// policy) can find cells holding a batch's tail latency.
-			straggler = true
-			c.log.Warn("cell straggling", "event", "cell_straggler",
-				"batch", bt.id, "trace", ctrace, "worker", w.url, "job", jr.ID,
-				"running_for", time.Since(dispatchedAt))
-		}
-		select {
-		case <-bt.ctx.Done():
-			_, _ = w.client.CancelJob(context.Background(), jr.ID)
-			return cellOutcome{state: service.Canceled}, nil
-		case <-time.After(c.cfg.PollInterval):
-		}
-		jv, err := w.client.GetJob(bt.ctx, jr.ID)
-		if err != nil {
-			if bt.ctx.Err() != nil {
-				_, _ = w.client.CancelJob(context.Background(), jr.ID)
-				return cellOutcome{state: service.Canceled}, nil
-			}
-			return cellOutcome{}, err
-		}
-		jr = jv
-	}
-}
-
-// isQueueFull matches the worker's 503 queue-saturation rejection, which is
-// retryable on the same worker (unlike every other 5xx). The machine-readable
-// code is authoritative; the message match keeps pre-code workers working.
-func isQueueFull(err error) bool {
-	var apiErr *httpapi.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		return false
-	}
-	return apiErr.Code == httpapi.CodeQueueFull || strings.Contains(apiErr.Message, "queue is full")
-}
-
-// dgroup is one grouped dispatch unit: up to Config.GroupSize cells sharing
-// a graph and a seed-independent parameter point, shipped to a worker as a
-// single job group (one graph lookup, one submit, one poll stream).
-type dgroup struct {
-	idxs      []int    // batch cell indices, in expansion order
-	seeds     []uint64 // aligned with idxs
-	graphName string
-	algo      string
-	base      registry.Params
-}
-
-// groupBatch partitions a batch's cells into dispatch groups: cells agreeing
-// on graph and on every seed-independent parameter (the same key as
-// service.GroupCells and the worker's result grouping) ride together,
-// chunked at Config.GroupSize so one straggling group cannot serialize an
-// entire seed axis.
-func (c *Coordinator) groupBatch(bt *cbatch) []*dgroup {
-	var out []*dgroup
-	open := make(map[string]*dgroup)
+// unitsOf partitions a batch's cells into dispatch units: cells agreeing on
+// graph and on every seed-independent parameter (the same key as
+// service.GroupCells) ride together, chunked at Config.GroupSize so one
+// straggling unit cannot serialize an entire seed axis.
+func (c *Coordinator) unitsOf(bt *cbatch) []*unit {
+	var out []*unit
+	open := make(map[string]*unit)
 	for i := range bt.cells {
 		cell := bt.cells[i].cell
 		p := cell.Params
@@ -457,119 +231,108 @@ func (c *Coordinator) groupBatch(bt *cbatch) []*dgroup {
 		if spec, ok := registry.Get(cell.Algo); ok {
 			key = cell.Graph + "|" + spec.CacheKey(p)
 		}
-		g := open[key]
-		if g == nil || len(g.idxs) >= c.cfg.GroupSize {
-			g = &dgroup{graphName: cell.Graph, algo: cell.Algo, base: cell.Params}
-			open[key] = g
-			out = append(out, g)
+		u := open[key]
+		if u == nil || len(u.idxs) >= c.cfg.GroupSize {
+			u = &unit{graph: cell.Graph}
+			open[key] = u
+			out = append(out, u)
 		}
-		g.idxs = append(g.idxs, i)
-		g.seeds = append(g.seeds, cell.Params.Seed)
+		u.idxs = append(u.idxs, i)
+		u.open++
 	}
 	return out
 }
 
-func canceledOutcomes(dg *dgroup) []cellOutcome {
-	outs := make([]cellOutcome, len(dg.idxs))
-	for i := range outs {
-		outs[i] = cellOutcome{state: service.Canceled}
-	}
-	return outs
-}
-
-func failedOutcomes(dg *dgroup, msg string) []cellOutcome {
-	outs := make([]cellOutcome, len(dg.idxs))
-	for i := range outs {
-		outs[i] = cellOutcome{state: service.Failed, errMsg: msg}
-	}
-	return outs
-}
-
-// gAttempt is the outcome of one worker attempt at a group: either a full
-// per-cell outcome slice, or a worker-level error (caller re-places).
-type gAttempt struct {
-	outs   []cellOutcome
-	err    error
+// attempt is the outcome of one worker attempt at a unit.
+type attempt struct {
 	w      *worker
 	hedged bool
+	// won is set when this attempt settled the unit's last open cell.
+	won bool
+	// err is a worker-level failure: the caller marks w down and re-places
+	// the unit's open cells.
+	err error
 }
 
-// runGroup places one dispatch group on the ring and runs it to terminal,
-// re-placing on worker failure exactly like runCell. With Config.Hedge set,
-// a group still running past the straggler threshold is speculatively
-// dispatched a second time to the next distinct healthy worker: the first
-// attempt to come back with outcomes wins, the loser is canceled via the
-// shared attempt context and its (eventual) result discarded. Dispatch is
-// therefore at-least-once; finishCells keeps the merge at-most-once.
-func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
-	pg := bt.graphs[dg.graphName]
-	// The group's trace is its first cell's child trace; every cell still
-	// carries its own child ID in the group submission, so per-cell greps
-	// keep working across hosts.
-	gtrace := obs.ChildTraceID(bt.traceID, dg.idxs[0])
+// runUnit places one unit on the ring and runs it until every cell is
+// terminal. A worker-level failure marks the worker down and re-places only
+// the cells still open. With Config.Hedge set, a unit still running past
+// the straggler threshold sends its open cells to the next distinct healthy
+// worker as well: each cell keeps the first result that arrives, the
+// attempt settling the unit's last cell wins, and the other attempt is
+// canceled (its worker-side batch with it). Dispatch is therefore
+// at-least-once; the idempotent settle keeps the merge at-most-once.
+func (c *Coordinator) runUnit(bt *cbatch, u *unit) {
+	pg := bt.graphs[u.graph]
+	// The unit's trace is its first cell's child trace; every cell still
+	// carries its own child ID to the worker, so per-cell greps keep working
+	// across hosts.
+	utrace := obs.ChildTraceID(bt.traceID, u.idxs[0])
 	maxAttempts := 2 * len(c.workers)
 
 	attemptCtx, cancelAttempts := context.WithCancel(bt.ctx)
 	var lwg sync.WaitGroup
+	hedged, hedgeWon := false, false
 	defer func() {
-		// First result won (or the group gave up): cut any losing attempt
-		// loose and wait for it to observe the cancel, so no goroutine and no
-		// window slot outlives the group.
+		// The unit is settled (or given up): cut any losing attempt loose and
+		// wait for it to cancel its worker-side batch, so no goroutine and no
+		// window slot outlives the unit.
 		cancelAttempts()
 		lwg.Wait()
+		if hedgeWon {
+			c.hedgesWon.Add(1)
+		} else if hedged {
+			c.hedgesWasted.Add(1)
+		}
 	}()
 
-	results := make(chan gAttempt, 2)
-	var primary *worker
-	launch := func(w *worker, hedged bool) {
+	results := make(chan attempt, 2)
+	launch := func(w *worker, hedge bool, open []int) {
 		lwg.Add(1)
 		go func() {
 			defer lwg.Done()
 			start := time.Now()
-			outs, err := c.runGroupOnWorker(attemptCtx, bt, dg, w, pg, gtrace, hedged)
-			if err == nil && attemptCtx.Err() == nil {
+			won, err := c.dispatch(attemptCtx, bt, u, open, w, pg, utrace)
+			if won {
 				c.recordGroupDur(time.Since(start))
 			}
-			results <- gAttempt{outs: outs, err: err, w: w, hedged: hedged}
+			results <- attempt{w: w, hedged: hedge, won: won, err: err}
 		}()
 	}
 
 	var lastErr error
 	attempts, inflight := 0, 0
-	hedged := false
-	var hedgeTimer <-chan time.Time
+	var primary *worker
+	var straggle <-chan time.Time
 	place := func() bool {
 		w := c.owner(pg.fp)
 		if w == nil {
 			return false
 		}
 		primary = w
-		launch(w, false)
+		launch(w, false, bt.openCells(u))
 		inflight++
-		if c.cfg.Hedge && !hedged {
-			if d := c.stragglerThreshold(); d > 0 {
-				hedgeTimer = time.After(d)
-			}
+		if d := c.stragglerThreshold(); d > 0 && !hedged {
+			straggle = time.After(d)
 		}
 		return true
 	}
-
-	failAll := func() {
+	giveUp := func() {
 		msg := "cluster: no healthy workers"
 		if attempts >= maxAttempts {
 			msg = fmt.Sprintf("cluster: giving up after %d attempts: %v", attempts, lastErr)
 		} else if lastErr != nil {
 			msg = fmt.Sprintf("%s (last worker error: %v)", msg, lastErr)
 		}
-		bt.finishCells(dg, failedOutcomes(dg, msg))
+		bt.settleOpen(u, cellOutcome{state: service.Failed, errMsg: msg})
 	}
 
 	if bt.ctx.Err() != nil {
-		bt.finishCells(dg, canceledOutcomes(dg))
+		bt.settleOpen(u, cellOutcome{state: service.Canceled})
 		return
 	}
 	if !place() {
-		failAll()
+		giveUp()
 		return
 	}
 	for {
@@ -577,237 +340,292 @@ func (c *Coordinator) runGroup(bt *cbatch, dg *dgroup) {
 		case at := <-results:
 			inflight--
 			switch {
-			case at.err == nil:
-				// First terminal outcome set wins. A hedge winning over a
-				// live primary counts as won; a primary winning after a hedge
-				// fired means the hedge was wasted work.
-				if at.hedged {
-					c.hedgesWon.Add(1)
-				} else if hedged {
-					c.hedgesWasted.Add(1)
-				}
-				bt.finishCells(dg, at.outs)
+			case at.won:
+				hedgeWon = at.hedged
 				return
+			case at.err == nil:
+				// Canceled, or ended without settling the unit's last cell.
 			case errors.Is(at.err, errWorkerDown):
 				// Downed (by another dispatch or a probe) between placement
 				// and dispatch: nothing new learned, just re-place.
 				c.log.Info("group re-placed", "event", "group_replace",
-					"batch", bt.id, "trace", gtrace, "worker", at.w.url)
+					"batch", bt.id, "trace", utrace, "worker", at.w.url)
 			default:
-				c.markDown(at.w, at.err)
-				c.cellRetries.Add(uint64(len(dg.idxs)))
+				if !errors.Is(at.err, errRedispatch) {
+					c.markDown(at.w, at.err)
+				}
+				open := bt.openCount(u)
+				c.cellRetries.Add(uint64(open))
 				lastErr = at.err
 				attempts++
 				c.log.Warn("group retry", "event", "group_retry",
-					"batch", bt.id, "trace", gtrace, "worker", at.w.url,
-					"cells", len(dg.idxs), "attempt", attempts, "error", at.err.Error())
+					"batch", bt.id, "trace", utrace, "worker", at.w.url,
+					"cells", open, "attempt", attempts, "error", at.err.Error())
 			}
 			if inflight > 0 {
 				continue // the surviving attempt (primary or hedge) may still win
 			}
 			if bt.ctx.Err() != nil {
-				bt.finishCells(dg, canceledOutcomes(dg))
+				bt.settleOpen(u, cellOutcome{state: service.Canceled})
+				return
+			}
+			if bt.openCount(u) == 0 {
 				return
 			}
 			if attempts >= maxAttempts || !place() {
-				failAll()
+				giveUp()
 				return
 			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if inflight != 1 {
+		case <-straggle:
+			straggle = nil
+			c.log.Warn("group straggling", "event", "group_straggler",
+				"batch", bt.id, "trace", utrace, "worker", primary.url)
+			if !c.cfg.Hedge || inflight != 1 {
 				continue
 			}
+			open := bt.openCells(u)
 			w2 := c.hedgeTarget(pg.fp, primary)
-			if w2 == nil {
+			if w2 == nil || len(open) == 0 {
 				continue
 			}
 			hedged = true
 			c.hedgesFired.Add(1)
 			c.log.Info("group hedged", "event", "group_hedge",
-				"batch", bt.id, "trace", gtrace, "primary", primary.url,
-				"hedge", w2.url, "cells", len(dg.idxs))
-			launch(w2, true)
+				"batch", bt.id, "trace", utrace, "primary", primary.url,
+				"hedge", w2.url, "cells", len(open))
+			launch(w2, true, open)
 			inflight++
 		}
 	}
 }
 
-// runGroupOnWorker executes one group attempt on w: acquire one window slot
-// for the whole group, ensure the graph is uploaded (binary codec), submit
-// the job group, poll to terminal over the negotiated binary rendering. A
-// non-nil error means the worker failed; application outcomes — including
-// per-cell failures and cache hits — come back one per seed. Cancellation of
-// ctx (batch cancel, or losing a hedge race) returns canceled outcomes with
-// a nil error after best-effort canceling the worker-side group.
-func (c *Coordinator) runGroupOnWorker(ctx context.Context, bt *cbatch, dg *dgroup, w *worker, pg *pinnedGraph, gtrace string, hedged bool) ([]cellOutcome, error) {
+// dispatch runs one attempt at unit u's open cells on w: acquire one window
+// slot, ensure the graph is uploaded, submit the cells as a worker batch,
+// and settle each cell as its frame arrives on the worker's result stream.
+// won reports that this attempt settled the unit's last open cell. A non-nil
+// error is a worker-level failure (transport error, 5xx, broken or stalled
+// stream) or errRedispatch (429, or a result stream answered 404);
+// deterministic rejections (other 4xx) fail the cells instead.
+// Cancellation of ctx — batch cancel, or losing a hedge race — cancels the
+// worker-side batch and returns quietly.
+func (c *Coordinator) dispatch(ctx context.Context, bt *cbatch, u *unit, open []int, w *worker, pg *pinnedGraph, utrace string) (won bool, err error) {
 	w.mu.Lock()
 	w.queueDepth++
 	w.mu.Unlock()
+	acquired := false
 	select {
 	case w.slots <- struct{}{}:
+		acquired = true
 	case <-ctx.Done():
-		w.mu.Lock()
-		w.queueDepth--
-		w.mu.Unlock()
-		return canceledOutcomes(dg), nil
 	}
 	w.mu.Lock()
 	w.queueDepth--
 	w.mu.Unlock()
+	if !acquired {
+		return false, nil
+	}
+	// Released on every path from here: select picks at random when the
+	// slot and a done ctx are both ready.
 	defer func() { <-w.slots }()
+	if ctx.Err() != nil {
+		return false, nil
+	}
 	if !w.isHealthy() {
-		return nil, errWorkerDown
+		return false, errWorkerDown
 	}
 	w.mu.Lock()
-	w.inFlight += len(dg.idxs)
-	w.dispatched += uint64(len(dg.idxs))
+	w.inFlight += len(open)
+	w.dispatched += uint64(len(open))
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
-		w.inFlight -= len(dg.idxs)
+		w.inFlight -= len(open)
 		w.mu.Unlock()
 	}()
 	c.groupsDispatched.Add(1)
-	c.cellsDispatched.Add(uint64(len(dg.idxs)))
+	c.cellsDispatched.Add(uint64(len(open)))
+	fail := func(msg string) bool {
+		return bt.settleAll(u, open, "", cellOutcome{state: service.Failed, errMsg: msg})
+	}
 
-	if err := c.ensureGraph(ctx, w, dg.graphName, pg); err != nil {
-		if ctx.Err() != nil {
-			return canceledOutcomes(dg), nil
-		}
+	if err := c.ensureGraph(ctx, w, u.graph, pg); err != nil {
 		var apiErr *httpapi.APIError
-		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
-			return failedOutcomes(dg, fmt.Sprintf("cluster: uploading %s to %s: %v", dg.graphName, w.url, err)), nil
+		switch {
+		case ctx.Err() != nil:
+			return false, nil
+		case errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError:
+			// A deterministic 4xx (e.g. 413, an unrepairable stale binding)
+			// fails the cells; it does not indict the worker.
+			return fail(fmt.Sprintf("cluster: uploading %s to %s: %v", u.graph, w.url, err)), nil
+		default:
+			return false, err
 		}
-		return nil, err
 	}
 
-	traces := make([]string, len(dg.idxs))
-	for k, i := range dg.idxs {
-		traces[k] = obs.ChildTraceID(bt.traceID, i)
-	}
-	req := httpapi.JobGroupRequest{
-		Algo:      dg.algo,
-		GraphName: dg.graphName,
-		Params:    httpapi.ParamsWire(dg.base),
-		Seeds:     dg.seeds,
-		Traces:    traces,
+	// The worker batch runs under the batch's own trace; each cell carries
+	// its coordinator child ID.
+	req := httpapi.BatchRequest{
+		Cells:     make([]httpapi.BatchCell, len(open)),
 		TimeoutMs: bt.timeout.Milliseconds(),
-		TraceID:   gtrace,
+		TraceID:   bt.traceID,
 	}
-	var gr httpapi.JobGroupResponse
-	backoff := c.cfg.PollInterval
+	for k, i := range open {
+		cell := bt.cells[i].cell
+		req.Cells[k] = httpapi.BatchCell{
+			Graph:   cell.Graph,
+			Algo:    cell.Algo,
+			Params:  httpapi.ParamsWire(cell.Params),
+			TraceID: obs.ChildTraceID(bt.traceID, i),
+		}
+	}
+	var sub httpapi.BatchResponse
 	for uploads := 0; ; {
-		var err error
-		gr, err = w.client.SubmitJobGroup(ctx, req)
+		cctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+		sub, err = w.client.SubmitBatch(cctx, req)
+		cancel()
 		if err == nil {
 			break
 		}
 		if ctx.Err() != nil {
-			return canceledOutcomes(dg), nil
+			return false, nil
 		}
 		var apiErr *httpapi.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status >= http.StatusInternalServerError {
-			// Queue saturation backs off on the same worker; every other
-			// transport error or 5xx is a worker failure.
-			if isQueueFull(err) {
-				select {
-				case <-time.After(backoff):
-					backoff = min(2*backoff, 250*time.Millisecond)
-					continue
-				case <-ctx.Done():
-					return canceledOutcomes(dg), nil
-				}
-			}
-			return nil, err
+			return false, err
+		}
+		if apiErr.Status == http.StatusTooManyRequests {
+			return false, fmt.Errorf("%w: %v", errRedispatch, err)
 		}
 		if apiErr.Status == http.StatusNotFound && uploads < 2 {
-			// The worker evicted our graph between upload and submit;
-			// re-upload and retry.
+			// The worker evicted our graph between upload and submit
+			// (capacity pressure on its store); re-upload and retry.
 			uploads++
 			w.mu.Lock()
-			delete(w.uploaded, dg.graphName)
+			delete(w.uploaded, u.graph)
 			w.mu.Unlock()
-			if err := c.ensureGraph(ctx, w, dg.graphName, pg); err != nil {
+			if err := c.ensureGraph(ctx, w, u.graph, pg); err != nil {
 				if ctx.Err() != nil {
-					return canceledOutcomes(dg), nil
+					return false, nil
 				}
-				return nil, err
+				return false, err
 			}
 			continue
 		}
-		// Remaining 4xx are deterministic rejections: the whole group would
-		// be rejected identically anywhere.
-		return failedOutcomes(dg, apiErr.Message), nil
+		// Remaining 4xx are deterministic rejections: the cells would be
+		// rejected identically anywhere.
+		return fail(apiErr.Message), nil
 	}
-	bt.noteGroupDispatched(dg, w, gr.ID)
-	dispatchedAt := time.Now()
+	ref := fmt.Sprintf("w%d:%s", w.id, sub.ID)
+	bt.noteDispatched(open, ref)
 	c.log.Info("group dispatched", "event", "group_dispatch",
-		"batch", bt.id, "trace", gtrace, "worker", w.url, "group", gr.ID,
-		"cells", len(dg.idxs), "hedged", hedged)
+		"batch", bt.id, "trace", utrace, "worker", w.url, "worker_batch", sub.ID,
+		"cells", len(open))
 
-	straggler := false
-	for !gr.Terminal() {
-		if d := c.stragglerThreshold(); d > 0 && !straggler && time.Since(dispatchedAt) > d {
-			// Surfaced once per dispatch; with Hedge set the parent runGroup
-			// loop acts on the same threshold.
-			straggler = true
-			c.log.Warn("group straggling", "event", "group_straggler",
-				"batch", bt.id, "trace", gtrace, "worker", w.url, "group", gr.ID,
-				"running_for", time.Since(dispatchedAt))
+	// RequestTimeout is the stream's idle limit: every byte read, keepalives
+	// included, re-arms the watchdog. Held to at least three worker
+	// keepalives, a long run is not a stall.
+	idle := max(c.cfg.RequestTimeout, 3*httpapi.StreamKeepalive)
+	sctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	watchdog := time.AfterFunc(idle, func() { stop(errStalled) })
+	defer watchdog.Stop()
+	client := w.client.Watched(func(n int) {
+		c.wireBytes.Add(uint64(n))
+		watchdog.Reset(idle)
+	})
+	streamed := 0
+	_, err = client.StreamBatch(sctx, sub.ID, 0, func(cv httpapi.BatchCellView) error {
+		if cv.Index != streamed || streamed >= len(open) {
+			return fmt.Errorf("cluster: worker %s streamed cell %d, want %d of %d", w.url, cv.Index, streamed, len(open))
 		}
-		select {
-		case <-ctx.Done():
-			// Best-effort worker-side cancel on a fresh context — the attempt
-			// context is already dead; the HTTP client timeout still bounds it.
-			_, _ = w.client.CancelJobGroup(context.Background(), gr.ID)
-			return canceledOutcomes(dg), nil
-		case <-time.After(c.cfg.PollInterval):
+		state := service.State(cv.State)
+		if !state.Terminal() || (state == service.Failed && cv.Error == service.ErrClosed.Error()) {
+			// A cell frozen unsettled, or failed because the worker is
+			// shutting down, says nothing about the cell: retry elsewhere.
+			return fmt.Errorf("cluster: worker %s could not run cell %d: %s %s", w.url, cv.Index, cv.State, cv.Error)
 		}
-		gv, err := w.client.GetJobGroup(ctx, gr.ID)
-		if err != nil {
-			if ctx.Err() != nil {
-				_, _ = w.client.CancelJobGroup(context.Background(), gr.ID)
-				return canceledOutcomes(dg), nil
-			}
-			return nil, err
+		if bt.settleAll(u, open[streamed:streamed+1], ref, outcomeOf(w, cv)) {
+			won = true
 		}
-		c.wireBytes.Add(uint64(gv.WireBytes))
-		gr = gv
+		streamed++
+		return nil
+	})
+	// Best-effort worker-side cancel on a fresh context — the attempt
+	// context may already be dead.
+	cancelRemote := func() {
+		cctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+		_, _ = w.client.CancelBatch(cctx, sub.ID)
+		cancel()
 	}
-	if len(gr.Cells) != len(dg.idxs) {
+	var apiErr *httpapi.APIError
+	switch {
+	case ctx.Err() != nil:
+		cancelRemote()
+		return won, nil
+	case errors.As(err, &apiErr) && (apiErr.Status == http.StatusNotFound || apiErr.Status == http.StatusTooManyRequests):
+		// The worker is up but will not stream this batch: it already
+		// retired it (404) or our key is at its stream bound (429).
+		cancelRemote()
+		return won, fmt.Errorf("%w: %v", errRedispatch, err)
+	case err != nil:
+		if errors.Is(context.Cause(sctx), errStalled) {
+			err = fmt.Errorf("%w: no bytes from %s for %s", errStalled, w.url, idle)
+		}
+		return won, err
+	case streamed != len(open):
 		// A shape mismatch is version skew, deterministic on any worker.
-		return failedOutcomes(dg, fmt.Sprintf(
-			"cluster: worker %s returned %d cells for a %d-seed group", w.url, len(gr.Cells), len(dg.idxs))), nil
+		msg := fmt.Sprintf("cluster: worker %s returned %d cells for a %d-cell group", w.url, streamed, len(open))
+		return fail(msg) || won, nil
 	}
-	outs := make([]cellOutcome, len(gr.Cells))
-	for k, cw := range gr.Cells {
-		res, err := cw.Result.ToResult()
-		if err != nil {
-			outs[k] = cellOutcome{state: service.Failed,
-				errMsg: fmt.Sprintf("cluster: worker %s returned a bad result: %v", w.url, err)}
-			continue
-		}
-		outs[k] = cellOutcome{
-			state:    service.State(cw.State),
-			cacheHit: cw.CacheHit,
-			errMsg:   cw.Error,
-			result:   res,
-		}
-	}
-	return outs, nil
+	return won, nil
 }
 
-// noteGroupDispatched records where a group's cells are running, for cancel
-// fan-out and the Submitted progress counter. Hedged and retried dispatches
-// re-enter here: only a cell's first dispatch counts toward Submitted (so it
-// never exceeds Total), the latest dispatch owns the cancel target, and
-// cells a racing winner already finished are left untouched.
-func (bt *cbatch) noteGroupDispatched(dg *dgroup, w *worker, groupID string) {
+// outcomeOf converts a streamed worker cell into its coordinator outcome. A
+// result the coordinator cannot decode is deterministic (version skew, not
+// a flaky worker), so the cell fails terminally like an application failure.
+func outcomeOf(w *worker, cv httpapi.BatchCellView) cellOutcome {
+	res, err := cv.Result.ToResult()
+	if err != nil {
+		return cellOutcome{state: service.Failed,
+			errMsg: fmt.Sprintf("cluster: worker %s returned a bad result: %v", w.url, err)}
+	}
+	return cellOutcome{
+		state:    service.State(cv.State),
+		cacheHit: cv.CacheHit,
+		errMsg:   cv.Error,
+		result:   res,
+	}
+}
+
+// openCells lists unit u's cells not yet terminal.
+func (bt *cbatch) openCells(u *unit) []int {
 	bt.mu.Lock()
 	defer bt.mu.Unlock()
-	ref := fmt.Sprintf("w%d:%s", w.id, groupID)
-	for _, i := range dg.idxs {
+	var open []int
+	for _, i := range u.idxs {
+		if !bt.cells[i].state.Terminal() {
+			open = append(open, i)
+		}
+	}
+	return open
+}
+
+// openCount reports how many of unit u's cells are not yet terminal.
+func (bt *cbatch) openCount(u *unit) int {
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	return u.open
+}
+
+// noteDispatched records which worker batch runs the given cells, for the
+// progress view and the Submitted counter. Hedged and retried dispatches
+// re-enter here: only a cell's first dispatch counts toward Submitted (so it
+// never exceeds Total), and cells a racing winner already settled are left
+// untouched.
+func (bt *cbatch) noteDispatched(idxs []int, ref string) {
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	for _, i := range idxs {
 		m := &bt.cells[i]
 		if m.state.Terminal() {
 			continue
@@ -815,33 +633,33 @@ func (bt *cbatch) noteGroupDispatched(dg *dgroup, w *worker, groupID string) {
 		if m.jobRef == "" {
 			bt.dispatched++
 		}
-		m.w = w
-		m.jobID = groupID
-		m.group = true
 		m.jobRef = ref
 		m.state = service.Running
 	}
 }
 
-// finishCells records a winning attempt's outcomes, idempotently per cell:
-// a cell already terminal (finished by a hedge race's winner, or by an
-// earlier cancellation) is left untouched. This guard is what turns
-// at-least-once dispatch into an at-most-once merge (DESIGN.md §6a).
-func (bt *cbatch) finishCells(dg *dgroup, outs []cellOutcome) {
+// settleAll is the one cell finisher: it records out for every listed cell
+// of unit u that is not terminal yet and leaves terminal ones untouched —
+// the guard that turns at-least-once dispatch into an at-most-once merge
+// (DESIGN.md §6a). ref, when set, names the worker batch that produced out.
+// It reports whether it settled the unit's last open cell.
+func (bt *cbatch) settleAll(u *unit, idxs []int, ref string, out cellOutcome) bool {
 	bt.mu.Lock()
 	defer bt.mu.Unlock()
-	for k, i := range dg.idxs {
+	settled := 0
+	for _, i := range idxs {
 		m := &bt.cells[i]
 		if m.state.Terminal() {
 			continue
 		}
-		out := outs[k]
+		if ref != "" {
+			m.jobRef = ref
+		}
 		m.state = out.state
 		m.cacheHit = out.cacheHit
 		m.err = out.errMsg
 		m.result = out.result
-		m.w = nil
-		bt.terminal++
+		settled++
 		switch out.state {
 		case service.Done:
 			bt.done++
@@ -854,49 +672,17 @@ func (bt *cbatch) finishCells(dg *dgroup, outs []cellOutcome) {
 			bt.cacheHits++
 		}
 	}
+	if settled == 0 {
+		return false
+	}
+	u.open -= settled
 	bt.signalProgressLocked()
+	return u.open == 0
 }
 
-// noteDispatched records where a cell is running, for cancel fan-out and the
-// Submitted progress counter. Retries re-enter here; only a cell's first
-// dispatch counts toward Submitted, which therefore never exceeds Total —
-// same as the single-node view.
-func (bt *cbatch) noteDispatched(i int, w *worker, jobID string) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	m := &bt.cells[i]
-	if m.jobRef == "" {
-		bt.dispatched++
-	}
-	m.w = w
-	m.jobID = jobID
-	m.jobRef = fmt.Sprintf("w%d:%s", w.id, jobID)
-	m.state = service.Running
-}
-
-// finishCell records a cell's terminal outcome.
-func (bt *cbatch) finishCell(i int, out cellOutcome) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	m := &bt.cells[i]
-	m.state = out.state
-	m.cacheHit = out.cacheHit
-	m.err = out.errMsg
-	m.result = out.result
-	m.w = nil
-	bt.terminal++
-	switch out.state {
-	case service.Done:
-		bt.done++
-	case service.Failed:
-		bt.failed++
-	case service.Canceled:
-		bt.canceled++
-	}
-	if out.cacheHit {
-		bt.cacheHits++
-	}
-	bt.signalProgressLocked()
+// settleOpen settles every still-open cell of unit u with out.
+func (bt *cbatch) settleOpen(u *unit, out cellOutcome) {
+	bt.settleAll(u, u.idxs, "", out)
 }
 
 // GetBatch returns a snapshot of the batch with the given ID.
@@ -982,9 +768,9 @@ func (c *Coordinator) ListBatches() []service.BatchView {
 	return out
 }
 
-// CancelBatch stops a running batch: undispatched cells are dropped, cells
-// in flight on workers are canceled best-effort, finished cells keep their
-// results. Finished batches return service.ErrBatchFinished.
+// CancelBatch stops a running batch: undispatched cells are dropped, the
+// worker-side batches in flight are canceled best-effort, finished cells keep
+// their results. Finished batches return service.ErrBatchFinished.
 func (c *Coordinator) CancelBatch(id string) (service.BatchView, error) {
 	c.mu.Lock()
 	bt, ok := c.batches[id]
@@ -998,34 +784,10 @@ func (c *Coordinator) CancelBatch(id string) (service.BatchView, error) {
 		return bt.view(), service.ErrBatchFinished
 	}
 	bt.cancelReq = true
-	type target struct {
-		w     *worker
-		jobID string
-		group bool
-	}
-	var targets []target
-	seen := make(map[string]bool)
-	for i := range bt.cells {
-		m := &bt.cells[i]
-		if m.w == nil || m.state.Terminal() || seen[m.jobRef] {
-			continue
-		}
-		// Grouped cells share one jobRef per dispatched group; cancel each
-		// worker-side group once, not once per member.
-		seen[m.jobRef] = true
-		targets = append(targets, target{m.w, m.jobID, m.group})
-	}
 	bt.mu.Unlock()
-	// Wake every slot wait and poll loop first, then chase down in-flight
-	// worker jobs with no batch lock held.
+	// Wake every slot wait and result stream; each dispatch attempt then
+	// cancels its own worker-side batch.
 	bt.cancel()
-	for _, t := range targets {
-		if t.group {
-			_, _ = t.w.client.CancelJobGroup(context.Background(), t.jobID)
-		} else {
-			_, _ = t.w.client.CancelJob(context.Background(), t.jobID)
-		}
-	}
 	return bt.view(), nil
 }
 

@@ -5,14 +5,15 @@
 // registry.Fingerprint (one owner per graph, uploaded once per worker per
 // name, in the compact binary codec), expands BatchSpecs with the same code
 // path as the single-node engine (service.BatchSpec.Expand), packs cells
-// that differ only in seed into job groups of up to Config.GroupSize
-// (amortizing graph lookup, submit, and poll round trips over the whole
-// group — the cluster fast path), dispatches each group to the owning worker
-// over internal/httpapi.Client with a bounded in-flight window per worker,
-// retries groups on worker failure by re-placing onto the next healthy
-// worker along the ring, optionally hedges straggling groups onto a second
-// worker (first result wins, Config.Hedge), and merges per-cell results and
-// per-group aggregates (service.GroupCells) into a single batch view that is
+// that differ only in seed into dispatch units of up to Config.GroupSize,
+// and sends each unit to the owning worker as a batch of explicit cells over
+// internal/httpapi.Client, with a bounded in-flight window per worker. It
+// reads each unit's results back on the worker's binary result stream and
+// settles every cell as its frame arrives; on worker failure it re-places
+// only the cells still open onto the next healthy worker along the ring,
+// optionally hedges straggling units onto a second worker (first result per
+// cell wins, Config.Hedge), and merges per-cell results and per-group
+// aggregates (service.GroupCells) into a single batch view that is
 // indistinguishable from a single-node run.
 //
 // Layer (DESIGN.md §2, §6): cluster sits above internal/httpapi (it is a
@@ -21,12 +22,13 @@
 // mounted by cmd/reprod -workers.
 //
 // Concurrency and ownership: a Coordinator is safe for concurrent use. Each
-// batch runs one goroutine per cell, gated by the owning worker's window
-// semaphore; all cell state is guarded by the batch mutex and all worker
-// state by the worker mutex (lock ordering: batch.mu and worker.mu are
-// leaves — never held together, and never held across an HTTP round trip).
-// Graphs handed out by the local store are shared and strictly read-only,
-// exactly as in the single-node engine.
+// batch runs one goroutine per dispatch unit (two while a hedge races),
+// gated by the target worker's window semaphore; all cell state is guarded
+// by the batch mutex and all worker state by the worker mutex (lock
+// ordering: batch.mu and worker.mu are leaves — never held together, and
+// never held across an HTTP round trip). Graphs handed out by the local
+// store are shared and strictly read-only, exactly as in the single-node
+// engine.
 package cluster
 
 import (
@@ -57,17 +59,15 @@ var ErrNoWorkers = errors.New("cluster: no workers configured")
 type Config struct {
 	// Workers lists the base URLs of the reprod workers (required).
 	Workers []string
-	// Window bounds in-flight cells per worker (default 4).
+	// Window bounds in-flight dispatch units per worker (default 4).
 	Window int
-	// RequestTimeout bounds every worker HTTP round trip, long-polls
-	// included; a hung worker surfaces as a transport error after this long
+	// RequestTimeout bounds every worker round trip and is the idle limit of
+	// a result stream: a stream that carries no byte, keepalives included,
+	// for this long counts as a stalled worker. Workers send a keepalive
+	// every httpapi.StreamKeepalive (1s), and the idle limit never drops
+	// below three of them, so a long run is never mistaken for a stall
 	// (default 15s).
 	RequestTimeout time.Duration
-	// PollInterval paces job polling against workers (default 20ms — cells
-	// take tens to hundreds of ms, so tighter polling buys little latency
-	// and costs the fleet an HTTP round trip per tick; in-process tests set
-	// it lower).
-	PollInterval time.Duration
 	// ProbeInterval enables background /healthz probing that revives downed
 	// workers (0 = probe only via explicit Probe calls).
 	ProbeInterval time.Duration
@@ -89,9 +89,6 @@ type Config struct {
 	MaxBatches int
 	// Replicas is the number of virtual ring points per worker (default 64).
 	Replicas int
-	// HTTPClient overrides the worker HTTP client (tests); nil selects a
-	// client with RequestTimeout.
-	HTTPClient *http.Client
 	// WorkerAPIKey is sent with every worker request when the fleet runs
 	// with API keys (-keys on the workers); empty sends none.
 	WorkerAPIKey string
@@ -99,23 +96,20 @@ type Config struct {
 	// retry, re-placement, worker down/revived, straggler, hedge), each
 	// tagged with the batch and cell trace IDs. Nil discards them.
 	Logger *slog.Logger
-	// StragglerAfter, when positive, marks a dispatched group a straggler
-	// once its poll loop runs this long: a straggler span event is logged,
-	// and with Hedge set it is also the hedge trigger. Zero falls back to an
-	// adaptive threshold (3× the observed p99 group duration) once enough
-	// groups have completed.
+	// StragglerAfter, when positive, marks a dispatched unit a straggler
+	// once it runs this long: a straggler span event is logged, and with
+	// Hedge set it is also the hedge trigger. Zero falls back to an adaptive
+	// threshold (3× the observed p99 unit duration) once enough units have
+	// completed.
 	StragglerAfter time.Duration
-	// Hedge enables speculative re-dispatch: a group past the straggler
-	// threshold is dispatched a second time to the next healthy worker,
-	// first result wins, the loser is canceled and its result discarded
-	// (DESIGN.md §6a).
+	// Hedge enables speculative re-dispatch: a unit past the straggler
+	// threshold sends its open cells to the next healthy worker too, each
+	// cell keeps the first result that arrives, and the losing attempt is
+	// canceled (DESIGN.md §6a).
 	Hedge bool
 	// GroupSize caps how many same-(graph, algo, params) cells ride in one
-	// dispatched job group (default 16).
+	// dispatch unit (default 16; 1 dispatches every cell on its own).
 	GroupSize int
-	// PerCell disables grouped dispatch and runs the PR 5 one-job-per-cell
-	// path — the benchmark baseline and an escape hatch.
-	PerCell bool
 }
 
 func (c Config) withDefaults() Config {
@@ -124,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 20 * time.Millisecond
 	}
 	if c.MaxCells <= 0 {
 		c.MaxCells = 4096
@@ -148,7 +139,7 @@ type worker struct {
 	id     int
 	url    string
 	client *httpapi.Client
-	// slots is the in-flight window: a cell holds one slot for the whole of
+	// slots is the in-flight window: a unit holds one slot for the whole of
 	// its dispatch to this worker.
 	slots chan struct{}
 
@@ -159,7 +150,7 @@ type worker struct {
 	// revives (a restarted worker has an empty store).
 	uploaded map[string]string
 	// uploading singleflights in-progress uploads per name: concurrent
-	// cells sharing a graph wait on the channel instead of re-shipping the
+	// units sharing a graph wait on the channel instead of re-shipping the
 	// same bytes.
 	uploading map[string]chan struct{}
 	inFlight  int
@@ -191,6 +182,7 @@ type Coordinator struct {
 	cfg     Config
 	log     *slog.Logger
 	st      *store.Store
+	tr      *http.Transport
 	workers []*worker
 	ring    []ringPoint // sorted by hash
 
@@ -217,7 +209,7 @@ type Coordinator struct {
 	hedgesWasted     atomic.Uint64
 	wireBytes        atomic.Uint64
 
-	// durMu guards the ring of recent group-attempt durations backing the
+	// durMu guards the ring of recent winning-attempt durations backing the
 	// adaptive straggler threshold.
 	durMu   sync.Mutex
 	durs    [64]time.Duration
@@ -225,7 +217,7 @@ type Coordinator struct {
 	durNext int
 }
 
-// recordGroupDur folds one successful group-attempt duration into the
+// recordGroupDur folds one winning unit-attempt duration into the
 // adaptive-threshold ring.
 func (c *Coordinator) recordGroupDur(d time.Duration) {
 	c.durMu.Lock()
@@ -242,10 +234,10 @@ func (c *Coordinator) recordGroupDur(d time.Duration) {
 // threshold explicitly).
 const minHedgeSamples = 20
 
-// stragglerThreshold returns how long a dispatched group may run before it
+// stragglerThreshold returns how long a dispatched unit may run before it
 // counts as a straggler (and, with Hedge on, gets hedged). Zero disables:
 // StragglerAfter is authoritative when set, otherwise 3× the observed p99
-// once minHedgeSamples group attempts have completed.
+// once minHedgeSamples unit attempts have won.
 func (c *Coordinator) stragglerThreshold() time.Duration {
 	if c.cfg.StragglerAfter > 0 {
 		return c.cfg.StragglerAfter
@@ -273,10 +265,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, ErrNoWorkers
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: cfg.RequestTimeout}
-	}
+	// No client-wide timeout: result streams legitimately outlive any fixed
+	// bound. Round trips carry RequestTimeout contexts; streams an idle
+	// watchdog. Two idle connections per window slot keep a unit's submit
+	// and stream on warm connections.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 2 * cfg.Window
+	hc := &http.Client{Transport: tr}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -295,6 +290,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		log:     logger,
 		st:      st,
+		tr:      tr,
 		batches: make(map[string]*cbatch),
 	}
 	seen := make(map[string]bool)
@@ -365,7 +361,7 @@ func (c *Coordinator) owner(fp string) *worker {
 }
 
 // hedgeTarget returns the first healthy worker clockwise from fp's ring
-// position that is not avoid — where a hedged group re-dispatch goes. Nil
+// position that is not avoid — where a hedged unit's open cells go. Nil
 // when no distinct healthy worker exists (hedging then stays a no-op).
 func (c *Coordinator) hedgeTarget(fp string, avoid *worker) *worker {
 	h := hash64(fp)
@@ -409,7 +405,9 @@ func (c *Coordinator) Probe() int {
 	for i, w := range c.workers {
 		go func(i int, w *worker) {
 			defer wg.Done()
-			errs[i] = w.client.Health(context.Background())
+			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+			defer cancel()
+			errs[i] = w.client.Health(ctx)
 		}(i, w)
 	}
 	wg.Wait()
@@ -496,6 +494,7 @@ func (c *Coordinator) Close() {
 		close(c.probeStop)
 		<-c.probeDone
 	}
+	c.tr.CloseIdleConnections()
 	if err := c.st.Close(); err != nil {
 		c.log.Warn("store_close_failed", "err", err)
 	}
@@ -532,7 +531,9 @@ func (c *Coordinator) DeleteGraph(name string) error {
 		healthy := w.healthy
 		w.mu.Unlock()
 		if had && healthy {
-			_ = w.client.DeleteGraph(context.Background(), name)
+			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+			_ = w.client.DeleteGraph(ctx, name)
+			cancel()
 		}
 	}
 	return nil
@@ -598,7 +599,9 @@ func (c *Coordinator) Metrics() httpapi.ClusterMetrics {
 		wg.Add(1)
 		go func(i int, w *worker) {
 			defer wg.Done()
-			if wm, err := w.client.Metrics(context.Background()); err == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+			defer cancel()
+			if wm, err := w.client.Metrics(ctx); err == nil {
 				fetched[i] = &wm
 			}
 		}(i, w)
@@ -704,6 +707,8 @@ func (c *Coordinator) uploadGraph(ctx context.Context, w *worker, name string, p
 	if err != nil {
 		return err
 	}
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
 	_, n, err := w.client.PutGraphBinary(ctx, name, bin)
 	c.wireBytes.Add(uint64(n))
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/httpapi"
 	"repro/internal/registry"
 	"repro/internal/service"
@@ -286,6 +287,59 @@ func TestSlowWorkerNeedsNoRetry(t *testing.T) {
 	}
 }
 
+// TestRefusedStreamIsNotAWorkerFailure: a worker that answers a result
+// stream with 429 (its key at the stream bound) is healthy. The unit's cells
+// are re-dispatched, no worker is marked down, and the batch matches a
+// single-node run.
+func TestRefusedStreamIsNotAWorkerFailure(t *testing.T) {
+	graphs := []namedSource{{"refuse-g", gnpSource(40, 0.15, 81, 32)}}
+	spec := service.BatchSpec{
+		Graphs: []string{"refuse-g"},
+		Algos:  []string{"maxis"},
+		Seeds:  []uint64{1, 2, 3, 4},
+	}
+	coord, workers := newFleet(t, 2, nil)
+	info := putGen(t, coord, "refuse-g", graphs[0].src)
+	findWorker(t, workers, coord.owner(info.Fingerprint).url).proxy.set(faultRefuseStream)
+
+	fin := clusterRun(t, coord, nil, spec)
+	if fin.State != service.BatchDone || fin.Done != fin.Total {
+		t.Fatalf("batch after a refused stream: %+v", fin)
+	}
+	assertSameOutcomes(t, singleNodeRun(t, graphs, spec), fin)
+	if n := coord.workerFailures.Load(); n != 0 {
+		t.Fatalf("%d worker failures from a refused stream", n)
+	}
+	if g, r := coord.groupsDispatched.Load(), coord.cellRetries.Load(); g != 2 || r != 4 {
+		t.Fatalf("dispatches %d, cell retries %d; want 2 and 4", g, r)
+	}
+}
+
+// TestLongRunIsNotAStall: RequestTimeout is the idle limit of a result
+// stream, not a bound on the run. A cell computing for longer than the idle
+// limit (here its floor of three keepalives) keeps its stream alive with
+// keepalives and completes with no worker marked down.
+func TestLongRunIsNotAStall(t *testing.T) {
+	maxis, _ := registry.Get("maxis")
+	unregister := registry.Register("slowmaxis", registry.IS, func(g *graph.Graph, p registry.Params) (*registry.Result, error) {
+		time.Sleep(4 * httpapi.StreamKeepalive)
+		return maxis.Run(g, p)
+	})
+	t.Cleanup(unregister)
+	coord, _ := newFleet(t, 2, func(cfg *Config) { cfg.RequestTimeout = 250 * time.Millisecond })
+	fin := clusterRun(t, coord, []namedSource{{"long-g", gnpSource(30, 0.2, 61, 16)}}, service.BatchSpec{
+		Graphs: []string{"long-g"},
+		Algos:  []string{"slowmaxis"},
+		Seeds:  []uint64{1},
+	})
+	if fin.State != service.BatchDone || fin.Done != 1 {
+		t.Fatalf("long run: %+v", fin)
+	}
+	if n := coord.workerFailures.Load(); n != 0 {
+		t.Fatalf("%d worker failures on a run longer than the idle limit", n)
+	}
+}
+
 // TestCancelReleasesPinsAndStops: canceling a cluster batch fans out to
 // in-flight worker jobs, marks undispatched cells canceled, and releases
 // every graph pin.
@@ -319,6 +373,77 @@ func TestCancelReleasesPinsAndStops(t *testing.T) {
 	}
 	if err := coord.DeleteGraph("cancel-g"); err != nil {
 		t.Fatalf("delete after cancel: %v", err)
+	}
+}
+
+// TestCancelFreesWindowSlots: canceling a batch with more units than the
+// window holds — units parked on a window slot behind in-flight ones — gives
+// every slot back, so a later batch on the same fleet still runs.
+func TestCancelFreesWindowSlots(t *testing.T) {
+	maxis, _ := registry.Get("maxis")
+	unregister := registry.Register("napmaxis", registry.IS, func(g *graph.Graph, p registry.Params) (*registry.Result, error) {
+		time.Sleep(20 * time.Millisecond)
+		return maxis.Run(g, p)
+	})
+	t.Cleanup(unregister)
+	napping, _ := registry.Get("napmaxis")
+	napping.Params = maxis.Params
+	coord, _ := newFleet(t, 1, func(cfg *Config) { cfg.GroupSize = 1 })
+	w := coord.workers[0]
+	putGen(t, coord, "slots-g", gnpSource(30, 0.2, 71, 16))
+	seeds := make([]uint64, 64)
+	for round := 0; round < 8; round++ {
+		for i := range seeds {
+			seeds[i] = uint64(100*round + i + 1)
+		}
+		v, err := coord.SubmitBatch(service.BatchSpec{
+			Graphs: []string{"slots-g"},
+			Algos:  []string{"napmaxis"},
+			Seeds:  seeds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Odd rounds cancel while units are still being launched onto free
+		// slots; even rounds once the window is full and units queue.
+		deadline := time.Now().Add(30 * time.Second)
+		for round%2 == 0 && len(w.slots) < cap(w.slots) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: window never filled", round)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if _, err := coord.CancelBatch(v.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitBatch(t, coord, v.ID)
+		for len(w.slots) > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d window slots never given back", round, len(w.slots))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The narrow case, made certain: an attempt whose context is already
+	// done when it reaches a free slot must not keep the slot, whichever
+	// select case fires.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for range 64 {
+		if won, err := coord.dispatch(ctx, nil, nil, nil, w, nil, ""); won || err != nil {
+			t.Fatalf("canceled dispatch: won=%v err=%v", won, err)
+		}
+	}
+	if n := len(w.slots); n != 0 {
+		t.Fatalf("%d window slots kept by canceled dispatches", n)
+	}
+	fin := clusterRun(t, coord, nil, service.BatchSpec{
+		Graphs: []string{"slots-g"},
+		Algos:  []string{"maxis"},
+		Seeds:  []uint64{1, 2, 3},
+	})
+	if fin.State != service.BatchDone || fin.Done != 3 {
+		t.Fatalf("batch after canceled ones: %+v", fin)
 	}
 }
 
@@ -474,6 +599,25 @@ func TestClusterHandlerEndToEnd(t *testing.T) {
 	}
 	if m.Fleet.BatchMembers == 0 && m.Fleet.Submitted == 0 {
 		t.Fatalf("fleet counters empty: %+v", m.Fleet)
+	}
+	if m.WireBytesTotal == 0 {
+		t.Fatal("wire_bytes_total is zero after a batch")
+	}
+	// A resubmission reuses the uploaded graph, so every byte it adds was
+	// read off a worker result stream.
+	b2, err := c.SubmitBatch(context.Background(), httpapi.BatchRequest{
+		Graphs: []string{"wire-g"},
+		Algos:  []string{"mwm2", "fastmcm"},
+		Seeds:  []uint64{1, 2, 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitBatch(context.Background(), b2.ID, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if m2, err := c.ClusterMetrics(context.Background()); err != nil || m2.WireBytesTotal <= m.WireBytesTotal {
+		t.Fatalf("stream bytes not counted: wire bytes %d -> %d (%v)", m.WireBytesTotal, m2.WireBytesTotal, err)
 	}
 
 	// Single-job endpoints are explicitly not served in coordinator mode.

@@ -11,6 +11,7 @@ package cluster
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,13 +26,21 @@ import (
 const (
 	faultOff int32 = iota
 	// faultKill rejects every request with 502, as a crashed worker behind
-	// a load balancer would.
+	// a load balancer would, and drops its result streams in flight at
+	// their next frame: a crashed worker's open connections die with it.
 	faultKill
 	// faultHang never answers: the request parks until the client times out
 	// (the handler returns when the client abandons the connection).
 	faultHang
 	// faultSlow delays every request by the proxy's delay, then serves it.
 	faultSlow
+	// faultCut serves normally until a result stream flushes its first frame
+	// after the magic, then aborts that stream's connection before the frame
+	// leaves and turns into faultKill: a worker dying mid-stream.
+	faultCut
+	// faultRefuseStream answers the next result stream with 429, as a
+	// worker whose key is at its stream bound would, then serves normally.
+	faultRefuseStream
 )
 
 // faultProxy wraps a worker handler with a switchable fault mode.
@@ -57,7 +66,16 @@ func (p *faultProxy) swap(h http.Handler) {
 }
 
 func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/stream") {
+		w = &cutWriter{ResponseWriter: w, p: p}
+	}
 	switch p.mode.Load() {
+	case faultRefuseStream:
+		if strings.HasSuffix(r.URL.Path, "/stream") && p.mode.CompareAndSwap(faultRefuseStream, faultOff) {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"error":"too many concurrent waiters; retry later","code":"rate_limited"}`, http.StatusTooManyRequests)
+			return
+		}
 	case faultKill:
 		http.Error(w, "fault injector: worker killed", http.StatusBadGateway)
 		return
@@ -81,6 +99,24 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	inner := p.inner
 	p.innerMu.RUnlock()
 	inner.ServeHTTP(w, r)
+}
+
+// cutWriter wraps every result stream so faults reach streams already in
+// flight: under faultKill the stream aborts at its next flush, and under
+// faultCut the first stream to flush a frame after its magic aborts and
+// switches the worker to faultKill.
+type cutWriter struct {
+	http.ResponseWriter
+	p       *faultProxy
+	flushes int
+}
+
+func (c *cutWriter) Flush() {
+	c.flushes++
+	if c.p.mode.Load() == faultKill || (c.flushes > 1 && c.p.mode.CompareAndSwap(faultCut, faultKill)) {
+		panic(http.ErrAbortHandler)
+	}
+	c.ResponseWriter.(http.Flusher).Flush()
 }
 
 // testWorker is one fleet member: the full single-node stack plus its fault
@@ -117,7 +153,6 @@ func newFleet(t *testing.T, n int, mut func(*Config), workerOpts ...httpapi.Hand
 		Workers:        urls,
 		Window:         2,
 		RequestTimeout: 2 * time.Second,
-		PollInterval:   time.Millisecond,
 	}
 	if mut != nil {
 		mut(&cfg)

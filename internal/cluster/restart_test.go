@@ -76,7 +76,6 @@ func TestWorkerRestartsMidBatch(t *testing.T) {
 		Workers:        urls,
 		Window:         2,
 		RequestTimeout: 2 * time.Second,
-		PollInterval:   time.Millisecond,
 		ProbeInterval:  5 * time.Millisecond,
 	})
 	if err != nil {

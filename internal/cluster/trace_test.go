@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"log/slog"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -34,9 +37,9 @@ func (b *syncBuffer) String() string {
 
 // TestTraceSurvivesRetry is the trace-propagation acceptance scenario: one
 // caller-chosen trace ID must be visible at every hop — the batch view, each
-// cell's derived child ID, the worker-side job group that actually ran the
-// cell, and the coordinator's span-event log — even when a worker dies
-// mid-batch and groups are retried onto new hosts.
+// cell's derived child ID, the worker-side batch cell that actually ran it,
+// and the coordinator's span-event log — even when a worker dies mid-batch
+// and units are retried onto new hosts.
 func TestTraceSurvivesRetry(t *testing.T) {
 	const trace = "feedface00c0ffee"
 	graphs := []namedSource{
@@ -100,34 +103,37 @@ func TestTraceSurvivesRetry(t *testing.T) {
 		t.Fatalf("final view trace %q, want %q", fin.TraceID, trace)
 	}
 
-	// Every cell carries the derived child ID, and the worker-side job group
-	// that finally ran it stamped that exact ID on the cell's seed entry.
+	// Every cell carries the derived child ID, and the worker-side batch
+	// whose result it kept ran a cell under that exact ID. Read the worker
+	// batches over HTTP with the fault cleared: the victim ran some cells
+	// before it died.
+	findWorker(t, workers, victim.url).proxy.set(faultOff)
 	for _, cell := range fin.Cells {
 		want := obs.ChildTraceID(trace, cell.Index)
 		if cell.TraceID != want {
 			t.Fatalf("cell %d trace %q, want %q", cell.Index, cell.TraceID, want)
 		}
-		wid, groupID, ok := strings.Cut(cell.JobID, ":")
+		wid, batchID, ok := strings.Cut(cell.JobID, ":")
 		if !ok || !strings.HasPrefix(wid, "w") {
-			t.Fatalf("cell %d job ref %q is not w<id>:<groupID>", cell.Index, cell.JobID)
+			t.Fatalf("cell %d job ref %q is not w<id>:<batchID>", cell.Index, cell.JobID)
 		}
 		idx, err := strconv.Atoi(wid[1:])
 		if err != nil || idx < 0 || idx >= len(workers) {
 			t.Fatalf("cell %d job ref %q names unknown worker", cell.Index, cell.JobID)
 		}
-		gv, ok := workers[idx].svc.GetGroup(groupID)
-		if !ok {
-			t.Fatalf("cell %d: group %s not found on worker %d", cell.Index, groupID, idx)
+		wv, err := httpapi.NewClient(workers[idx].ts.URL, nil).GetBatch(context.Background(), batchID, 0)
+		if err != nil {
+			t.Fatalf("cell %d: batch %s on worker %d: %v", cell.Index, batchID, idx, err)
 		}
 		found := false
-		for _, gc := range gv.Cells {
-			if gc.TraceID == want {
+		for _, wc := range wv.Cells {
+			if wc.TraceID == want && wc.State == string(service.Done) {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("cell %d: no cell of worker-side group %s carries trace %q", cell.Index, groupID, want)
+			t.Fatalf("cell %d: no done cell of worker-side batch %s carries trace %q", cell.Index, batchID, want)
 		}
 	}
 
@@ -147,5 +153,33 @@ func TestTraceSurvivesRetry(t *testing.T) {
 	}
 	if !retried {
 		t.Fatalf("log has no group_retry event tagged with a child of %s:\n%s", trace, got)
+	}
+}
+
+// TestLongestTraceReachesWorkers: a batch under the longest trace the front
+// door accepts still runs, because the child IDs forwarded to the workers
+// fit their cell-trace bound.
+func TestLongestTraceReachesWorkers(t *testing.T) {
+	coord, _ := newFleet(t, 2, nil)
+	ts := httptest.NewServer(httpapi.NewClusterHandler(coord))
+	t.Cleanup(ts.Close)
+	c := httpapi.NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.PutGraphGen(ctx, "long-g", httpapi.GenRequest{Gen: "gnp", N: 20, P: 0.2, Seed: 9, MaxW: 16}); err != nil {
+		t.Fatal(err)
+	}
+	trace := strings.Repeat("f", 128)
+	b, err := c.SubmitBatch(ctx, httpapi.BatchRequest{
+		Graphs: []string{"long-g"}, Algos: []string{"maxis"}, Seeds: []uint64{1, 2}, TraceID: trace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.WaitBatch(ctx, b.ID, 60*time.Second)
+	if err != nil || fin.Done != fin.Total {
+		t.Fatalf("batch under a %d-byte trace: %+v, %v", len(trace), fin, err)
+	}
+	if fin.Cells[1].TraceID != obs.ChildTraceID(trace, 1) {
+		t.Fatalf("cell trace %q", fin.Cells[1].TraceID)
 	}
 }

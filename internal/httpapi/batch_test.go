@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/graph"
 	"repro/internal/service"
 )
 
@@ -349,5 +351,105 @@ func TestMetricsSplitsBatchTraffic(t *testing.T) {
 	}
 	if m.BatchesSubmitted != 2 || m.BatchesDone != 2 || m.BatchCells != 4 {
 		t.Fatalf("batch engine metrics %+v", m)
+	}
+}
+
+// TestBinaryGraphUploadParity pins the fingerprint contract of the binary
+// upload path: PUT with the graph.EncodeBinary body registers the same graph
+// — same fingerprint, deduplicated payload — as the text upload.
+func TestBinaryGraphUploadParity(t *testing.T) {
+	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+
+	g := repro.GNP(40, 0.12, 77)
+	repro.AssignUniformEdgeWeights(g, 30, 78)
+
+	var text bytes.Buffer
+	if err := repro.WriteGraph(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	txtInfo, err := c.PutGraph(ctx, "as-text", text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var bin bytes.Buffer
+	if err := graph.EncodeBinary(&bin, g); err != nil {
+		t.Fatal(err)
+	}
+	binInfo, sent, err := c.PutGraphBinary(ctx, "as-binary", bin.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent != bin.Len() {
+		t.Fatalf("reported %d wire bytes, sent %d", sent, bin.Len())
+	}
+	if binInfo.Fingerprint != txtInfo.Fingerprint {
+		t.Fatalf("fingerprints diverge: binary %s, text %s", binInfo.Fingerprint, txtInfo.Fingerprint)
+	}
+	if !binInfo.Dedup || binInfo.Shared != 2 {
+		t.Fatalf("binary upload not deduplicated against text twin: %+v", binInfo)
+	}
+	if binInfo.Nodes != 40 || binInfo.Edges != txtInfo.Edges {
+		t.Fatalf("binary info %+v vs text %+v", binInfo, txtInfo)
+	}
+
+	// And the registered graph is runnable.
+	sub, err := c.SubmitBatch(ctx, BatchRequest{Graphs: []string{"as-binary"}, Algos: []string{"mwm2"}, Seeds: []uint64{5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bv, err := c.WaitBatch(ctx, sub.ID, 60*time.Second); err != nil || bv.Done != 1 {
+		t.Fatalf("batch over binary-registered graph: %+v, %v", bv, err)
+	}
+}
+
+// TestBatchCellTraceIDs: an explicit cell may name its own trace, which its
+// view reports; the others keep the batch's derived child ID. Trace IDs from
+// the header, the body and the cells are validated alike.
+func TestBatchCellTraceIDs(t *testing.T) {
+	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.PutGraphGen(ctx, "g", GenRequest{Gen: "gnp", N: 12, P: 0.3, Seed: 4, MaxW: 8}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.SubmitBatch(ctx, BatchRequest{TraceID: "root", Cells: []BatchCell{
+		{Graph: "g", Algo: "maxis", Params: &ParamsRequest{Seed: 1}, TraceID: "coord_7.012"},
+		{Graph: "g", Algo: "maxis", Params: &ParamsRequest{Seed: 2}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.WaitBatch(ctx, b.ID, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Cells[0].TraceID != "coord_7.012" || fin.Cells[1].TraceID != "root.001" {
+		t.Fatalf("cell traces %q, %q", fin.Cells[0].TraceID, fin.Cells[1].TraceID)
+	}
+
+	for name, req := range map[string]BatchRequest{
+		"cell trace with a space": {Cells: []BatchCell{{Graph: "g", Algo: "maxis", TraceID: "a b"}}},
+		"cell trace too long":     {Cells: []BatchCell{{Graph: "g", Algo: "maxis", TraceID: strings.Repeat("c", maxCellTraceLen+1)}}},
+		"batch trace too long":    {Graphs: []string{"g"}, Algos: []string{"maxis"}, TraceID: strings.Repeat("t", maxTraceLen+1)},
+	} {
+		_, err := c.SubmitBatch(ctx, req)
+		wantStatus(t, err, http.StatusBadRequest)
+		if !strings.Contains(err.Error(), "trace id") {
+			t.Fatalf("%s: error %v does not name the trace id", name, err)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/batches",
+		strings.NewReader(`{"graphs":["g"],"algos":["maxis"]}`))
+	req.Header.Set(TraceHeader, "bad\ttrace")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad %s header: status %d, want 400", TraceHeader, resp.StatusCode)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"time"
 )
 
@@ -25,6 +24,8 @@ type Client struct {
 	base   string
 	hc     *http.Client
 	apiKey string
+	// onRead observes StreamBatch body reads; see Watched.
+	onRead func(n int)
 }
 
 // NewClient returns a client for the API rooted at base (e.g.
@@ -250,63 +251,6 @@ func (c *Client) GetJob(ctx context.Context, id string) (JobResponse, error) {
 func (c *Client) CancelJob(ctx context.Context, id string) (JobResponse, error) {
 	var out JobResponse
 	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &out)
-	return out, err
-}
-
-// SubmitJobGroup submits one job group (N seeds of one algorithm against a
-// stored graph).
-func (c *Client) SubmitJobGroup(ctx context.Context, req JobGroupRequest) (JobGroupResponse, error) {
-	var out JobGroupResponse
-	err := c.do(ctx, http.MethodPost, "/v1/jobgroups", req, &out)
-	return out, err
-}
-
-// GetJobGroup polls one job group. It asks for the compact binary rendering
-// and falls back to JSON by the response's Content-Type, so it works against
-// both current and older servers; WireBytes reports the body size either
-// way.
-func (c *Client) GetJobGroup(ctx context.Context, id string) (JobGroupResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/jobgroups/"+url.PathEscape(id), nil)
-	if err != nil {
-		return JobGroupResponse{}, err
-	}
-	req.Header.Set("Accept", GroupBinaryContentType+", application/json")
-	c.auth(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return JobGroupResponse{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return JobGroupResponse{}, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		_ = json.Unmarshal(body, &env)
-		return JobGroupResponse{}, &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
-	}
-	var out JobGroupResponse
-	if strings.Contains(resp.Header.Get("Content-Type"), GroupBinaryContentType) {
-		out, err = decodeGroupBinary(body)
-	} else {
-		err = json.Unmarshal(body, &out)
-	}
-	if err != nil {
-		return JobGroupResponse{}, err
-	}
-	out.WireBytes = len(body)
-	return out, nil
-}
-
-// CancelJobGroup cancels a queued or running job group.
-func (c *Client) CancelJobGroup(ctx context.Context, id string) (JobGroupResponse, error) {
-	var out JobGroupResponse
-	err := c.do(ctx, http.MethodDelete, "/v1/jobgroups/"+url.PathEscape(id), nil, &out)
 	return out, err
 }
 

@@ -75,16 +75,16 @@ type ClusterMetrics struct {
 	CellsDispatched  uint64 `json:"cells_dispatched"`
 	CellRetries      uint64 `json:"cell_retries"`
 	WorkerFailures   uint64 `json:"worker_failures"`
-	// GroupsDispatched counts job-group dispatches (hedges and retries
+	// GroupsDispatched counts dispatch-unit attempts (hedges and retries
 	// included); HedgesFired/Won/Wasted account for speculative re-dispatch:
-	// fired when a straggling group was hedged, won when the hedge produced
-	// the winning result, wasted when the primary still won.
+	// fired when a straggling unit was hedged, won when the hedge settled
+	// the unit's last cell, wasted otherwise.
 	GroupsDispatched uint64 `json:"groups_dispatched"`
 	HedgesFired      uint64 `json:"hedges_fired"`
 	HedgesWon        uint64 `json:"hedges_won"`
 	HedgesWasted     uint64 `json:"hedges_wasted"`
 	// WireBytesTotal counts body bytes shipped to and from workers over the
-	// binary codecs (graph uploads and group poll responses).
+	// binary codecs (graph uploads and the result streams read back).
 	WireBytesTotal uint64 `json:"wire_bytes_total"`
 	// Fleet sums the /metrics counters of every worker that answered.
 	Fleet MetricsResponse `json:"fleet"`

@@ -18,9 +18,6 @@
 //	POST   /v1/jobs            submit a job (inline graph, stored graph, or generator spec)
 //	GET    /v1/jobs/{id}       poll a job
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
-//	POST   /v1/jobgroups       run one algorithm over N seeds against one stored graph
-//	GET    /v1/jobgroups/{id}  poll a job group (binary with Accept: application/x-repro-jobgroup)
-//	DELETE /v1/jobgroups/{id}  cancel a job group
 //	PUT    /v1/graphs/{name}   register a named graph (text, generator spec, or
 //	                           Content-Type: application/x-repro-graph binary)
 //	GET    /v1/graphs          list named graphs
@@ -31,7 +28,8 @@
 //	GET    /v1/batches/{id}    poll a batch; ?wait=5s long-polls until terminal
 //	GET    /v1/batches/{id}/stream  stream cell results incrementally (SSE, or
 //	                           binary with Accept: application/x-repro-batchstream;
-//	                           resumable via Last-Event-ID)
+//	                           resumable via Last-Event-ID; ?keepalive= sets the
+//	                           keepalive cadence)
 //	DELETE /v1/batches/{id}    cancel a batch (fans out to member jobs)
 //	GET    /v1/algorithms      list registered algorithms and generators
 //	GET    /healthz            liveness
@@ -124,6 +122,47 @@ const maxWait = 60 * time.Second
 // wins when both are present — and every job/batch response echoes the
 // effective trace ID back in the same header.
 const TraceHeader = "X-Repro-Trace"
+
+// Trace-ID bounds. A trace ID is one log token: ASCII letters, digits and
+// "._:-". A request's own trace (header or body trace_id) is capped at
+// maxTraceLen; a batch cell's trace at maxCellTraceLen, which leaves room
+// for the "<trace>.<index>" child IDs a coordinator derives from a capped
+// request trace and forwards to its workers.
+const (
+	maxTraceLen     = 128
+	maxCellTraceLen = 2 * maxTraceLen
+)
+
+// checkTrace validates a client-supplied trace ID against limit; empty means
+// unset and is always valid.
+func checkTrace(id string, limit int) error {
+	if len(id) > limit {
+		return fmt.Errorf("trace id longer than %d bytes", limit)
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '.' || c == '_' || c == ':' || c == '-') {
+			return fmt.Errorf("trace id may only contain [A-Za-z0-9._:-]")
+		}
+	}
+	return nil
+}
+
+// requestTrace returns a submission's effective trace ID — the body's
+// trace_id, else the TraceHeader header — validated. On error it has
+// already written the 400.
+func requestTrace(w http.ResponseWriter, r *http.Request, body string) (string, bool) {
+	trace := body
+	if trace == "" {
+		trace = r.Header.Get(TraceHeader)
+	}
+	if err := checkTrace(trace, maxTraceLen); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return "", false
+	}
+	return trace, true
+}
 
 // SubmitRequest is the POST /v1/jobs body. Exactly one of Graph (the
 // graph.Encode text format), GraphName (a stored graph) and Gen (a
@@ -282,6 +321,10 @@ type BatchCell struct {
 	Graph  string         `json:"graph"`
 	Algo   string         `json:"algo"`
 	Params *ParamsRequest `json:"params,omitempty"`
+	// TraceID, when set, is the trace the cell runs under instead of the
+	// batch's derived child ID; the cluster coordinator sends its own cell
+	// IDs this way.
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 // BatchResponse is the wire form of a batch snapshot. Cells and Groups are
@@ -452,7 +495,6 @@ func NewHandler(svc *service.Service, st *store.Store, batches *service.Batches,
 		}
 	})
 
-	registerGroupRoutes(mux, cfg, svc, st)
 	registerBackendRoutes(mux, cfg, engineBackend{st: st, batches: batches})
 	return cfg.tenantMiddleware(limitBody(mux, cfg.maxBody))
 }
@@ -660,9 +702,9 @@ func handleSubmit(cfg *handlerConfig, svc *service.Service, st *store.Store, w h
 		return
 	}
 
-	trace := req.TraceID
-	if trace == "" {
-		trace = r.Header.Get(TraceHeader)
+	trace, ok := requestTrace(w, r, req.TraceID)
+	if !ok {
+		return
 	}
 	v, err := svc.Submit(service.Request{
 		Algo:    req.Algo,
@@ -774,9 +816,9 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	trace := req.TraceID
-	if trace == "" {
-		trace = r.Header.Get(TraceHeader)
+	trace, ok := requestTrace(w, r, req.TraceID)
+	if !ok {
+		return
 	}
 	graphs := req.Graphs
 	if cfg.scoped(t) {
@@ -799,12 +841,15 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 	}
 	for i, c := range req.Cells {
 		params, err := c.Params.params()
+		if err == nil {
+			err = checkTrace(c.TraceID, maxCellTraceLen)
+		}
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
 			return
 		}
 		spec.Cells = append(spec.Cells, service.BatchCell{
-			Graph: cfg.scopeGraph(t, c.Graph), Algo: c.Algo, Params: params})
+			Graph: cfg.scopeGraph(t, c.Graph), Algo: c.Algo, Params: params, TraceID: c.TraceID})
 	}
 	v, err := b.SubmitBatch(spec)
 	switch {
@@ -812,6 +857,8 @@ func handleSubmitBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 		writeErr(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, service.ErrDraining):
 		writeErrCode(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
+	case errors.Is(err, service.ErrJournal):
+		writeErr(w, http.StatusInternalServerError, err.Error())
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, err.Error())
 	default:

@@ -28,8 +28,8 @@ import (
 //     data lines, keepalive comments while cells run, and a final
 //     "event: batch" summary. Works with curl -N and EventSource.
 //   - Binary (Accept: application/x-repro-batchstream): an "RBS1" magic
-//     then length-prefixed frames; cell payloads reuse the RJG1-style
-//     varint/bitset codec from bincodec.go, the final batch summary is a
+//     then length-prefixed frames; cell payloads use the varint/bitset
+//     result codec from bincodec.go, the final batch summary is a
 //     JSON payload. ~6× smaller than SSE for result-heavy cells.
 //
 // Both renderings resume: Last-Event-ID (the SSE convention — the last cell
@@ -62,10 +62,12 @@ const (
 // cell for the largest admissible graph stays far below it.
 const maxStreamFrame = 256 << 20
 
-// streamSlice is how long one server-side cell wait parks before emitting a
-// keepalive. Short enough that client disconnects and proxy idle timeouts
-// are noticed; long enough that an idle stream costs a few wakeups a minute.
-const streamSlice = 10 * time.Second
+// StreamKeepalive is how long one server-side cell wait parks before
+// emitting a keepalive. Short enough that client disconnects are noticed and
+// that a client idle limit of a few seconds (the cluster coordinator's
+// stall detector) never mistakes a long-running cell for a dead worker; an
+// idle stream costs one wakeup a second.
+const StreamKeepalive = time.Second
 
 // Cell-frame flag bits: which optional payloads follow.
 const (
@@ -163,7 +165,7 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 			if ctx.Err() != nil {
 				return
 			}
-			cv, ok := b.WaitCell(id, i, streamSlice)
+			cv, ok := b.WaitCell(id, i, StreamKeepalive)
 			if !ok {
 				return // batch evicted mid-stream
 			}
@@ -200,7 +202,7 @@ func handleStreamBatch(cfg *handlerConfig, b Backend, w http.ResponseWriter, r *
 		if ctx.Err() != nil {
 			return
 		}
-		bv, ok := b.WaitBatch(id, streamSlice)
+		bv, ok := b.WaitBatch(id, StreamKeepalive)
 		if !ok {
 			return
 		}
@@ -285,9 +287,9 @@ func ReadStreamFrame(r io.Reader) (typ byte, payload []byte, err error) {
 
 // encodeStreamCell renders one settled cell in the binary cell codec:
 // index, graph/algo/job/trace strings, state and flag bytes, then the
-// optional params/error/result payloads the flags announce, reusing the
-// RJG1 result encoding. Like encodeGroupBinary it can only fail on a state
-// outside the lifecycle enum — a programming error — hence the panic.
+// optional params/error/result payloads the flags announce, with the shared
+// result encoding. It can only fail on a state outside the lifecycle enum —
+// a programming error — hence the panic.
 func encodeStreamCell(c BatchCellView) []byte {
 	code, err := stateCode(c.State)
 	if err != nil {
@@ -342,7 +344,7 @@ func appendF64(buf []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-func (r *groupReader) f64(what string) float64 {
+func (r *wireReader) f64(what string) float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -359,7 +361,7 @@ func (r *groupReader) f64(what string) float64 {
 // encodeStreamCell. It is exported for clients of the binary stream and is
 // the fuzzing surface of the stream codec.
 func DecodeStreamCell(data []byte) (BatchCellView, error) {
-	r := &groupReader{data: data}
+	r := &wireReader{data: data}
 	c := BatchCellView{
 		Index:   int(r.uvarint("index")),
 		Graph:   r.str("graph"),
@@ -410,7 +412,8 @@ func DecodeStreamCell(data []byte) (BatchCellView, error) {
 // binary stream and falls back to SSE by the response's Content-Type, so it
 // works against both renderings. fn returning an error aborts the stream
 // and surfaces that error. StreamBatch issues ONE request; callers wanting
-// resume-on-disconnect loop around it, passing the next unseen index.
+// resume-on-disconnect loop around it, passing the next unseen index. A
+// client made by Watched also observes every body read.
 func (c *Client) StreamBatch(ctx context.Context, id string, from int, fn func(BatchCellView) error) (BatchResponse, error) {
 	path := c.base + "/v1/batches/" + url.PathEscape(id) + "/stream"
 	if from > 0 {
@@ -438,10 +441,38 @@ func (c *Client) StreamBatch(ctx context.Context, id string, from int, fn func(B
 		_ = json.NewDecoder(resp.Body).Decode(&env)
 		return BatchResponse{}, &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error}
 	}
-	if strings.Contains(resp.Header.Get("Content-Type"), BatchStreamContentType) {
-		return readBinaryStream(resp.Body, fn)
+	var body io.Reader = resp.Body
+	if c.onRead != nil {
+		body = observedReader{resp.Body, c.onRead}
 	}
-	return readSSEStream(resp.Body, fn)
+	if strings.Contains(resp.Header.Get("Content-Type"), BatchStreamContentType) {
+		return readBinaryStream(body, fn)
+	}
+	return readSSEStream(body, fn)
+}
+
+// Watched returns a copy of the client whose StreamBatch reports the byte
+// count of every stream-body read, keepalives included, to onRead. The
+// cluster coordinator uses it to detect stalled workers and to count the
+// bytes its streams carry.
+func (c *Client) Watched(onRead func(n int)) *Client {
+	cp := *c
+	cp.onRead = onRead
+	return &cp
+}
+
+// observedReader reports every successful read's size to fn.
+type observedReader struct {
+	r  io.Reader
+	fn func(n int)
+}
+
+func (o observedReader) Read(p []byte) (int, error) {
+	n, err := o.r.Read(p)
+	if n > 0 {
+		o.fn(n)
+	}
+	return n, err
 }
 
 func readBinaryStream(body io.Reader, fn func(BatchCellView) error) (BatchResponse, error) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,4 +441,41 @@ func FuzzStreamChunkDecode(f *testing.F) {
 			t.Fatalf("codec not self-consistent:\nfirst:  %+v (%x)\nsecond: %+v (%x)", cv, re, cv2, re2)
 		}
 	})
+}
+
+// TestStreamKeepaliveWhileParked: a parked cell still produces body reads
+// at the fixed keepalive cadence, which is what lets a watched client (the
+// cluster coordinator) tell a long run from a stalled worker.
+func TestStreamKeepaliveWhileParked(t *testing.T) {
+	ts, _, _ := newFullServer(t, service.Config{Workers: 1}, service.BatchConfig{})
+	started, release := registerBlocker(t, "park-keepalive")
+	defer release()
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.PutGraphGen(ctx, "g", GenRequest{Gen: "gnp", N: 12, P: 0.3, Seed: 4, MaxW: 8}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.SubmitBatch(ctx, BatchRequest{Cells: []BatchCell{{Graph: "g", Algo: "park-keepalive"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	var reads atomic.Int64
+	sctx, cancel := context.WithTimeout(ctx, 3*StreamKeepalive+StreamKeepalive/2)
+	defer cancel()
+	_, err = c.Watched(func(int) { reads.Add(1) }).StreamBatch(sctx, b.ID, 0, func(BatchCellView) error {
+		return errors.New("no cell may settle while parked")
+	})
+	if sctx.Err() == nil {
+		t.Fatalf("stream ended before the deadline: %v", err)
+	}
+	// The magic, then one keepalive per StreamKeepalive.
+	if n := reads.Load(); n < 3 {
+		t.Fatalf("%d body reads in %s at a %s keepalive", n, 3*StreamKeepalive+StreamKeepalive/2, StreamKeepalive)
+	}
+	// The stream handler may still be parked; let it return before the
+	// blocker is unregistered.
+	release()
+	ts.Close()
 }

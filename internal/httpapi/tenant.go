@@ -20,7 +20,7 @@ import (
 // Scoping model: a tenant's graphs are stored under "<tenant>/<name>" — the
 // tenant charset excludes "/", so scoped names cannot collide across tenants
 // — and every response strips the prefix back off, making each tenant see a
-// private namespace. Jobs, job groups and batches are tagged with the
+// private namespace. Jobs and batches are tagged with the
 // submitting tenant and GET/DELETE return 404 (not 403) across tenants, so
 // the API does not leak which IDs exist.
 

@@ -24,6 +24,9 @@ var (
 	ErrBatchFinished = errors.New("service: batch already finished")
 	ErrBatchEmpty    = errors.New("service: batch expands to zero cells")
 	ErrBatchTooLarge = errors.New("service: batch exceeds the cell cap")
+	// ErrJournal wraps a submit whose ledger commit failed (a crashed,
+	// poisoned or closed WAL): the server's fault, not the request's.
+	ErrJournal = errors.New("service: batch journal unavailable")
 )
 
 // BatchConfig sizes the batch engine. Zero values select defaults.
@@ -83,6 +86,11 @@ type BatchCell struct {
 	Algo string
 	// Params configures the run; zero fields mean registry defaults.
 	Params registry.Params
+	// TraceID, when set, is the trace the cell runs under instead of the
+	// derived obs.ChildTraceID(batch TraceID, index) — the cluster
+	// coordinator sets it so a worker-side cell carries the ID of the
+	// coordinator cell it computes.
+	TraceID string
 }
 
 // BatchSpec describes a batch: either an explicit cell list, or a grid —
@@ -105,8 +113,8 @@ type BatchSpec struct {
 	// Timeout bounds each member job (0 = the service default).
 	Timeout time.Duration
 	// TraceID identifies the batch across tiers; cell i runs under the
-	// derived child ID obs.ChildTraceID(TraceID, i). Empty means the engine
-	// generates one at submit.
+	// derived child ID obs.ChildTraceID(TraceID, i) unless the cell names
+	// its own. Empty means the engine generates one at submit.
 	TraceID string
 	// Tenant is the submitting tenant's ID ("" = anonymous). It is
 	// journaled with the batch, selects the fair-share lane for every
@@ -261,6 +269,16 @@ type batch struct {
 	// streaming waiters (WaitCell) wake without polling.
 	progress chan struct{}
 	groups   []BatchGroup // aggregates, computed once after the terminal transition
+}
+
+// cellTrace is the trace cell i runs under: its own when it names one,
+// else the batch's derived child ID. Cells are immutable after submit, so
+// no lock is needed.
+func (bt *batch) cellTrace(i int) string {
+	if t := bt.cells[i].cell.TraceID; t != "" {
+		return t
+	}
+	return obs.ChildTraceID(bt.traceID, i)
 }
 
 // signalProgressLocked wakes streaming waiters after a cell's terminal
@@ -425,7 +443,7 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 			Created: bt.created, Cells: make([]cellSpecRec, len(cells)),
 		}
 		for i, c := range cells {
-			sp.Cells[i] = cellSpecRec{Graph: c.Graph, Algo: c.Algo, Params: c.Params}
+			sp.Cells[i] = cellSpecRec(c)
 		}
 		if err := b.ledger.commit(recBatchSubmit, sp); err != nil {
 			b.mu.Lock()
@@ -434,7 +452,7 @@ func (b *Batches) Submit(spec BatchSpec) (BatchView, error) {
 			for _, release := range releases {
 				release()
 			}
-			return BatchView{}, err
+			return BatchView{}, fmt.Errorf("%w: %w", ErrJournal, err)
 		}
 	}
 	b.submittedCount.Add(1)
@@ -498,7 +516,7 @@ func (b *Batches) feed(bt *batch, graphs map[string]*graph.Graph) {
 			Graph:   graphs[cell.Graph],
 			Params:  cell.Params,
 			Timeout: bt.timeout,
-			TraceID: obs.ChildTraceID(bt.traceID, i),
+			TraceID: bt.cellTrace(i),
 			Tenant:  bt.tenant,
 		}
 		i := i
@@ -828,7 +846,7 @@ func (bt *batch) cellViewLocked(i int) BatchCellView {
 	ms := &bt.cells[i]
 	return BatchCellView{
 		Index:    i,
-		TraceID:  obs.ChildTraceID(bt.traceID, i),
+		TraceID:  bt.cellTrace(i),
 		Graph:    ms.cell.Graph,
 		Algo:     ms.cell.Algo,
 		Params:   ms.cell.Params,

@@ -52,10 +52,12 @@ const (
 	recBatchCancel   = 4 // cancelPayload
 )
 
+// cellSpecRec is the journaled BatchCell (same fields, converted directly).
 type cellSpecRec struct {
-	Graph  string          `json:"graph"`
-	Algo   string          `json:"algo"`
-	Params registry.Params `json:"params"`
+	Graph   string          `json:"graph"`
+	Algo    string          `json:"algo"`
+	Params  registry.Params `json:"params"`
+	TraceID string          `json:"trace,omitempty"`
 }
 
 type submitPayload struct {
@@ -267,7 +269,7 @@ func (bt *batch) snapshotRec() batchSnapshot {
 	}
 	for i := range bt.cells {
 		ms := &bt.cells[i]
-		rec.Submit.Cells[i] = cellSpecRec{Graph: ms.cell.Graph, Algo: ms.cell.Algo, Params: ms.cell.Params}
+		rec.Submit.Cells[i] = cellSpecRec(ms.cell)
 		if ms.state.Terminal() {
 			rec.Done = append(rec.Done, cellPayload{
 				Batch: bt.id, Index: i, State: ms.state, JobID: ms.jobID,
@@ -436,7 +438,7 @@ func (b *Batches) replaySubmit(p submitPayload) *batch {
 		progress: make(chan struct{}),
 	}
 	for i, c := range p.Cells {
-		bt.cells[i] = memberState{cell: BatchCell{Graph: c.Graph, Algo: c.Algo, Params: c.Params}, state: Queued}
+		bt.cells[i] = memberState{cell: BatchCell(c), state: Queued}
 	}
 	b.batches[p.ID] = bt
 	if n, err := strconv.ParseUint(p.ID[1:], 10, 64); err == nil && n > b.nextID {

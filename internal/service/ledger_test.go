@@ -316,3 +316,51 @@ func TestLedgerMutationVisibleBeforeAck(t *testing.T) {
 		t.Error(msg)
 	}
 }
+
+// TestLedgerKeepsExplicitCellTraces: an explicit cell naming its own trace
+// runs its job under that trace, and the ledger journals it, so the resumed
+// batch still reports it; a cell without one keeps the derived child ID.
+func TestLedgerKeepsExplicitCellTraces(t *testing.T) {
+	root := t.TempDir()
+	svc, st, b := ledgerStack(t, root)
+	if _, _, err := st.Put("g", store.Source{Gen: "gnp", GenParams: registry.GenParams{N: 30, P: 0.2, Seed: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := b.Submit(BatchSpec{
+		TraceID: "outer",
+		Cells: []BatchCell{
+			{Graph: "g", Algo: "maxis", Params: registry.Params{Seed: 1}, TraceID: "coord.007"},
+			{Graph: "g", Algo: "maxis", Params: registry.Params{Seed: 2}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"coord.007", "outer.001"}
+	before := waitBatch(t, b, v.ID)
+	for i, c := range before.Cells {
+		if c.TraceID != want[i] {
+			t.Fatalf("cell %d trace %q, want %q", i, c.TraceID, want[i])
+		}
+		if jv, ok := svc.Get(c.JobID); !ok || jv.TraceID != want[i] {
+			t.Fatalf("cell %d job %s ran under trace %q, want %q", i, c.JobID, jv.TraceID, want[i])
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, b2 := ledgerStack(t, root)
+	after, ok := b2.Get(v.ID)
+	if !ok {
+		t.Fatalf("batch %s lost across restart", v.ID)
+	}
+	for i, c := range after.Cells {
+		if c.TraceID != want[i] {
+			t.Fatalf("restored cell %d trace %q, want %q", i, c.TraceID, want[i])
+		}
+	}
+}

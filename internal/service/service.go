@@ -177,27 +177,17 @@ type Service struct {
 	queue *fairQueue
 	wg    sync.WaitGroup
 
-	// groupSem bounds how many job groups execute concurrently (one engine
-	// run at a time each); sized like the worker pool so grouped and
-	// per-job load share the same parallelism budget. groupWG tracks group
-	// runner goroutines for Close.
-	groupSem chan struct{}
-	groupWG  sync.WaitGroup
-
-	mu             sync.Mutex
-	closed         bool
-	draining       bool // closed via Drain: submissions get ErrDraining
-	jobs           map[string]*job
-	terminal       []string // finished job IDs, oldest first, for eviction
-	groups         map[string]*group
-	terminalGroups []string // finished group IDs, oldest first, for eviction
-	cache          *lruCache
-	met            counters
-	tenantMet      map[string]*tenantCounters // per-tenant totals, "" excluded
-	queued         int                        // jobs admitted but not yet running, minus canceled ones
-	running        int
-	nextID         uint64
-	nextGroupID    uint64
+	mu        sync.Mutex
+	closed    bool
+	draining  bool // closed via Drain: submissions get ErrDraining
+	jobs      map[string]*job
+	terminal  []string // finished job IDs, oldest first, for eviction
+	cache     *lruCache
+	met       counters
+	tenantMet map[string]*tenantCounters // per-tenant totals, "" excluded
+	queued    int                        // jobs admitted but not yet running, minus canceled ones
+	running   int
+	nextID    uint64
 }
 
 // tenantCounter lazily creates the per-tenant counter row. Must be called
@@ -217,7 +207,9 @@ func (s *Service) tenantCounter(tenant string) *tenantCounters {
 // jobs beyond the retention bound, and fires the job's terminal
 // notification (batch bookkeeping) exactly once.
 func (s *Service) markTerminal(jb *job) {
-	jb.g = nil
+	// A retained finished job keeps only what its view shows: drop the
+	// input graph, the run's context and the cache key.
+	jb.g, jb.cancel, jb.cacheKey = nil, nil, ""
 	jb.finished = time.Now()
 	if jb.tenant != "" {
 		tc := s.tenantCounter(jb.tenant)
@@ -237,6 +229,7 @@ func (s *Service) markTerminal(jb *job) {
 	}
 	if jb.notify != nil {
 		jb.notify(jb.view())
+		jb.notify = nil // fired exactly once; let the batch go when it retires
 	}
 }
 
@@ -247,8 +240,6 @@ func New(cfg Config) *Service {
 		cfg:       cfg,
 		queue:     newFairQueue(cfg.QueueSize, cfg.TenantLimits),
 		jobs:      make(map[string]*job),
-		groups:    make(map[string]*group),
-		groupSem:  make(chan struct{}, cfg.Workers),
 		cache:     newLRUCache(cfg.CacheSize),
 		tenantMet: make(map[string]*tenantCounters),
 	}
@@ -477,8 +468,8 @@ func (s *Service) Telemetry() EngineTelemetry {
 	return s.met.engineTelemetry()
 }
 
-// Close stops accepting submissions, waits for queued and running jobs and
-// job groups to drain, and releases the worker pool.
+// Close stops accepting submissions, waits for queued and running jobs to
+// drain, and releases the worker pool.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -489,12 +480,11 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.queue.close()
 	s.wg.Wait()
-	s.groupWG.Wait()
 }
 
 // Drain stops admission immediately (submissions fail with ErrDraining),
 // abandons queued-but-not-started jobs, and waits up to timeout for running
-// jobs and groups to finish. Abandoned jobs were never journaled terminal,
+// jobs to finish. Abandoned jobs were never journaled terminal,
 // so a WAL resume after restart re-runs them — this is the SIGTERM
 // checkpoint path, where Close's run-everything semantics would block
 // shutdown behind an arbitrarily deep backlog. Returns true when all
@@ -509,7 +499,6 @@ func (s *Service) Drain(timeout time.Duration) bool {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.groupWG.Wait()
 		close(done)
 	}()
 	select {

@@ -158,6 +158,11 @@ type Config struct {
 // ErrRoundLimit is returned (wrapped) when a run exceeds Config.MaxRounds.
 var ErrRoundLimit = errors.New("simul: round limit exceeded")
 
+// ErrPanic is returned (wrapped, with the panic value) when an automaton
+// panics on any engine worker: the phase is finished by the remaining
+// workers and the run fails instead of the process.
+var ErrPanic = errors.New("simul: automaton panicked")
+
 // Metrics aggregates communication costs of a run. The per-round peak
 // fields are the quantities ROADMAP's scaling items budget against: total
 // counts say how much work a run did, peaks say how wide its widest round
@@ -387,6 +392,10 @@ type engine struct {
 	tiles        []shard
 	workers      int
 	nextTile     atomic.Int64
+	// panicOnce/panicked hold the first automaton panic of the run, from
+	// whichever worker raised it; read after the phase barrier.
+	panicOnce sync.Once
+	panicked  error
 	// ca and scratch implement Config.CompressedNeighbors: scratch[w] is
 	// worker w's decode buffer (cap ∆), valid only while that worker is
 	// inside one node's loop body.
@@ -486,7 +495,8 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 	// drained — work stealing over contiguous CSR ranges, so a worker stuck
 	// on a dense tile sheds the rest of the list to its peers. Phase funcs
 	// are allocated once, so the per-round cost is a few channel operations
-	// and no allocation.
+	// and no allocation. Every worker recovers automaton panics, so the
+	// phase barrier is always reached and the run returns ErrPanic.
 	var wg sync.WaitGroup
 	var work []chan func(s *shard, w int)
 	if e.workers > 1 {
@@ -495,7 +505,7 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 			work[w] = make(chan func(s *shard, w int), 1)
 			go func(w int) {
 				for f := range work[w] {
-					e.drainTiles(f, w)
+					e.safeDrain(f, w)
 					wg.Done()
 				}
 			}(w)
@@ -506,20 +516,15 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 			}
 		}()
 	}
-	runPhase := func(f func(s *shard, w int)) {
-		if e.workers == 1 {
-			for i := range e.tiles {
-				f(&e.tiles[i], 0)
-			}
-			return
-		}
+	runPhase := func(f func(s *shard, w int)) error {
 		e.nextTile.Store(0)
 		wg.Add(e.workers - 1)
 		for w := 1; w < e.workers; w++ {
 			work[w] <- f
 		}
-		e.drainTiles(f, 0)
+		e.safeDrain(f, 0)
 		wg.Wait()
+		return e.panicked
 	}
 	stepPhase := func(s *shard, w int) { e.step(s, w) }
 	deliverPhase := func(s *shard, w int) { e.deliver(s, w) }
@@ -531,7 +536,9 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 			return res, fmt.Errorf("%w: %d nodes still live after %d rounds", ErrRoundLimit, liveCount, cfg.MaxRounds)
 		}
 
-		runPhase(stepPhase)
+		if err := runPhase(stepPhase); err != nil {
+			return res, err
+		}
 
 		// Collect errors and halts deterministically (ascending node ID).
 		for v := 0; v < n; v++ {
@@ -547,8 +554,12 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 			}
 		}
 
-		runPhase(deliverPhase)
-		runPhase(compactPhase)
+		if err := runPhase(deliverPhase); err != nil {
+			return res, err
+		}
+		if err := runPhase(compactPhase); err != nil {
+			return res, err
+		}
 
 		active, roundMsgs, roundBits := 0, 0, 0
 		for i := range e.tiles {
@@ -575,6 +586,18 @@ func Run(g *graph.Graph, cfg Config, build func(v int) Automaton) (*Result, erro
 		}
 	}
 	return res, nil
+}
+
+// safeDrain is drainTiles for worker w with the worker's panics contained:
+// the first one becomes the run's ErrPanic and the worker reports in at the
+// phase barrier like any other.
+func (e *engine) safeDrain(f func(s *shard, w int), w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicOnce.Do(func() { e.panicked = fmt.Errorf("%w on worker %d: %v", ErrPanic, w, r) })
+		}
+	}()
+	e.drainTiles(f, w)
 }
 
 // drainTiles claims tiles off the shared counter and runs f on each as

@@ -3,6 +3,7 @@ package simul
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -205,6 +206,27 @@ func TestDeterminismAcrossEngines(t *testing.T) {
 	// And re-running sequentially reproduces exactly.
 	if !reflect.DeepEqual(seq, run(false)) {
 		t.Fatal("sequential run not reproducible")
+	}
+}
+
+// TestWorkerPanicBecomesRunError: an automaton panicking on the parallel
+// engine — on any of its four workers, not only the caller's — fails the run
+// with ErrPanic and leaves the process (this test binary) running.
+func TestWorkerPanicBecomesRunError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := graph.Grid(40, 40)
+	for round := 0; round < 2; round++ {
+		_, err := Run(g, Config{Parallel: true, TileArcs: 16}, func(v int) Automaton {
+			return automatonFunc(func(ctx *Context, inbox []Envelope) {
+				if ctx.Round() == round && ctx.ID()%3 == 0 {
+					panic("automaton bug")
+				}
+				ctx.Broadcast(intMsg{v: ctx.ID(), bits: 12})
+			})
+		})
+		if !errors.Is(err, ErrPanic) {
+			t.Fatalf("round %d panic: err %v, want ErrPanic", round, err)
+		}
 	}
 }
 
