@@ -43,6 +43,29 @@
 //   - Update may retain no slice it is handed: data and results are arena
 //     views that the runtime reuses the next round.
 //
+// # Change-driven folding
+//
+// An aggregate is a function of the multiset of neighbour Data, so RunDirect
+// and RunLine reuse a fold whose inputs are provably unchanged since an
+// earlier round; messages are still sent and metered every round, and
+// results, Cost and the memo's hit/miss counts are exactly those of folding
+// every round. The invariants:
+//
+//   - RunDirect: a sender's version grows by one exactly when its broadcast
+//     differs from its previous one (and on round 0). Live senders only drop
+//     out and versions only grow, so a receiver whose (live sender count,
+//     Σ versions) pair is unchanged sees the same senders with the same
+//     Data, and answers every query it already folded under that pair from
+//     its results cache.
+//   - RunLine: a node's data epoch advances whenever its live-data list may
+//     have changed — a mirror copies different Data or dies, a primary's
+//     Update changes its Data or halts it. A prefix/suffix entry stamped with
+//     the current epoch is still exact (memo.go).
+//
+// This makes Proj purity load-bearing across rounds, not only within one: a
+// Proj must return the same value for the same Data in every round.
+// MemoStats.FoldReuse counts the reused folds.
+//
 // Layer (DESIGN.md §2): agg sits directly above the internal/simul round
 // engine and below the algorithm packages (core, mis, nmis, coloring) that
 // express themselves as Machines.
@@ -173,7 +196,8 @@ var (
 
 // Query asks for Agg over Proj(D_u) for every live neighbor u. Proj must be a
 // pure function of the neighbor's Data (it is evaluated independently at both
-// endpoints in the line-graph runtime). Construct Query values once, in a
+// endpoints in the line-graph runtime, and its folds are reused in later
+// rounds while the Data is unchanged). Construct Query values once, in a
 // machine's precomputed query plan — allocating Proj closures per round is
 // what the arena runtime exists to avoid.
 type Query struct {
@@ -246,19 +270,29 @@ type Machine interface {
 	Update(info *NodeInfo, t int, data Data, results []int64) (halt bool, output any)
 }
 
-// MemoStats totals the exchange-folding memo's lookups over a run: a hit is
-// a partial answered in O(1) from an existing prefix/suffix entry, a miss is
-// an entry build or a direct fold. Zero for runtimes without a memo
-// (RunDirect, RunLineNaive).
+// MemoStats totals a run's fold telemetry.
+//
+// Hits and Misses count the exchange-folding memo's lookups (RunLine only)
+// and keep their per-round meaning: within one virtual round, a hit is a
+// partial answered in O(1) from a prefix/suffix entry promoted that round, a
+// miss is any other lookup. Whether a miss then had to fold does not change
+// the count.
+//
+// FoldReuse counts folds answered from an earlier round's work because the
+// inputs were provably unchanged: RunDirect queries served by a node's
+// results cache, and RunLine misses answered by a prefix/suffix entry built
+// in an earlier round. RunLineNaive reports zeros.
 type MemoStats struct {
-	Hits   uint64
-	Misses uint64
+	Hits      uint64
+	Misses    uint64
+	FoldReuse uint64
 }
 
 // Add folds o into s.
 func (s *MemoStats) Add(o MemoStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
+	s.FoldReuse += o.FoldReuse
 }
 
 // Result is the outcome of running a Machine under one of the runtimes.
@@ -269,8 +303,8 @@ type Result struct {
 	// round complexity); Metrics.Rounds counts real network rounds.
 	VirtualRounds int
 	Metrics       simul.Metrics
-	// Memo totals the exchange-folding memo's hit/miss counts (RunLine
-	// only).
+	// Memo totals the fold telemetry: the exchange-folding memo's hit/miss
+	// counts (RunLine only) and the folds reused across rounds.
 	Memo MemoStats
 }
 

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -17,20 +18,69 @@ import (
 // double-buffered pair (the copy delivered for round r+1 is read while the
 // copy for round r+2 is written), and the query/result buffers grow to a
 // steady size during the first rounds and are reused thereafter.
+//
+// Change-driven folding: the node keeps the answers it folded in a small
+// results cache (a fixed array inside the node, so the run's node slab holds
+// every cache at no extra allocation) that stays valid for one neighbourhood
+// epoch — the pair (live sender count, Σ sender versions) over its inbox.
+// Live senders only ever drop out (a halted node stops broadcasting) and
+// versions only grow, so an unchanged pair means the same senders with the
+// same Data, and a query answered under that epoch — in any earlier round —
+// is answered again from the cache without reading a neighbor's Data.
 type directNode struct {
-	m    Machine
-	info *NodeInfo
-	data Data
-	msgs [2]dataMsg // round-parity double buffer; fields are arena views
-	qbuf []Query
-	rbuf []int64
-	nbuf []Data // live neighbors' data for the round, for branch-free folds
+	m       Machine
+	info    *NodeInfo
+	data    Data
+	msgs    [2]dataMsg // round-parity double buffer; fields are arena views
+	version uint64     // version stamped on this node's latest broadcast
+	qbuf    []Query
+	rbuf    []int64
+	nbuf    []Data // live neighbors' data for the round, for branch-free folds
+
+	cache     [directCacheCap]foldResult // cache[:ncache]: this epoch's answers
+	ncache    int
+	epochLive int    // epoch of cache: live sender count (-1: none yet)
+	epochSum  uint64 // epoch of cache: Σ sender versions
+	reuse     uint64 // folds answered from an earlier round's cache
+}
+
+// directCacheCap bounds a node's results cache. An epoch can span a whole
+// Algorithm 2 window, which asks up to eight distinct queries: three
+// addition queries, the sync and apply plans, and up to three MIS queries
+// (Ghaffari's). Queries beyond the cap are folded every round.
+const directCacheCap = 8
+
+// foldResult is one cached query answer. q keeps the Proj closure reachable,
+// so its address — half of the cache key — cannot be recycled by another
+// closure while the entry lives.
+type foldResult struct {
+	q   Query
+	val int64
 }
 
 func (a *directNode) broadcast(ctx *simul.Context) {
-	m := &a.msgs[ctx.Round()&1]
+	r := ctx.Round()
+	m := &a.msgs[r&1]
+	// The other buffer holds this node's previous broadcast (round r-1):
+	// a node that has not halted broadcasts every round.
+	if r == 0 || !slices.Equal(a.data, a.msgs[(r-1)&1].fields) {
+		a.version++
+	}
 	copy(m.fields, a.data)
+	m.version = a.version
 	ctx.Broadcast(m)
+}
+
+// cached returns q's answer under the current epoch, if the cache holds it.
+func (a *directNode) cached(q *Query) (int64, bool) {
+	p := projID(q.Proj)
+	for i := range a.cache[:a.ncache] {
+		e := &a.cache[i]
+		if projID(e.q.Proj) == p && sameAgg(e.q.Agg, q.Agg) {
+			return e.val, true
+		}
+	}
+	return 0, false
 }
 
 func (a *directNode) Step(ctx *simul.Context, inbox []simul.Envelope) {
@@ -41,13 +91,35 @@ func (a *directNode) Step(ctx *simul.Context, inbox []simul.Envelope) {
 	// The virtual round whose queries we are resolving.
 	t := ctx.Round() - 1
 	a.qbuf = a.m.Queries(a.info, t, a.data, a.qbuf[:0])
-	a.nbuf = a.nbuf[:0]
+	var sum uint64
 	for _, env := range inbox {
-		a.nbuf = append(a.nbuf, env.Msg.(*dataMsg).fields)
+		sum += env.Msg.(*dataMsg).version
 	}
+	if len(inbox) != a.epochLive || sum != a.epochSum {
+		a.ncache = 0
+		a.epochLive, a.epochSum = len(inbox), sum
+	}
+	a.nbuf = a.nbuf[:0]
 	a.rbuf = a.rbuf[:0]
 	for qi := range a.qbuf {
-		a.rbuf = append(a.rbuf, foldExcept(&a.qbuf[qi], a.nbuf, -1))
+		q := &a.qbuf[qi]
+		if v, ok := a.cached(q); ok {
+			a.reuse++
+			a.rbuf = append(a.rbuf, v)
+			continue
+		}
+		if len(a.nbuf) == 0 {
+			// First miss this round: gather the neighbors' Data.
+			for _, env := range inbox {
+				a.nbuf = append(a.nbuf, env.Msg.(*dataMsg).fields)
+			}
+		}
+		v := foldExcept(q, a.nbuf, -1)
+		if a.ncache < directCacheCap {
+			a.cache[a.ncache] = foldResult{q: *q, val: v}
+			a.ncache++
+		}
+		a.rbuf = append(a.rbuf, v)
 	}
 	halt, output := a.m.Update(a.info, t, a.data, a.rbuf)
 	if halt {
@@ -91,6 +163,7 @@ func RunDirect(g *graph.Graph, cfg simul.Config, build func(v int) Machine) (*Re
 			Rand:   &streams[v],
 		}
 		nd.info = &infos[v]
+		nd.epochLive = -1
 		nd.data = arena[off : off+f : off+f]
 		nd.msgs[0].fields = arena[off+f : off+2*f : off+2*f]
 		nd.msgs[1].fields = arena[off+2*f : off+3*f : off+3*f]
@@ -106,14 +179,10 @@ func RunDirect(g *graph.Graph, cfg simul.Config, build func(v int) Machine) (*Re
 		VirtualRounds: max(0, res.Metrics.Rounds-1),
 		Metrics:       res.Metrics,
 	}
-	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
+	for v := range nodes {
+		out.Memo.FoldReuse += nodes[v].reuse
 	}
-	return b
+	return out, nil
 }
 
 // checkQueryCount guards against machines that change their query count

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -69,11 +70,13 @@ type lineNode struct {
 	err      error
 }
 
-// refreshLive rebuilds the dense live-data list and invalidates the fold
-// memo. It runs once per A round, after the update fold: liveness and data
-// next change only in the B round's second pass, so both the list and the
-// memoized prefix/suffix folds stay valid for the A-round partials and the
-// B-round aggregations alike.
+// refreshLive rebuilds the dense live-data list and starts the fold memo's
+// next round. It runs once per A round, after the update fold: liveness and
+// data next change only in the B round's second pass, so both the list and
+// the memoized prefix/suffix folds stay valid for the A-round partials and
+// the B-round aggregations alike. The list is rebuilt in state order, so
+// while the memo's data epoch stands it is the same list as the round
+// before and entries built then still apply.
 func (a *lineNode) refreshLive() {
 	a.memo.reset()
 	a.liveData = a.liveData[:0]
@@ -106,7 +109,8 @@ func (a *lineNode) sidePartials(st *lineEdgeState, queries []Query, out []int64)
 
 // foldUpdates applies the primaries' B-round messages to the mirrored states.
 // The inbox is sorted by sender and the states by other endpoint, so a single
-// merge cursor replaces the old sender→state map.
+// merge cursor replaces the old sender→state map. A mirror that changes or
+// dies advances the memo's data epoch.
 func (a *lineNode) foldUpdates(inbox []simul.Envelope) {
 	i := 0
 	for _, env := range inbox {
@@ -121,7 +125,12 @@ func (a *lineNode) foldUpdates(inbox []simul.Envelope) {
 			continue
 		}
 		st := &a.states[i]
-		copy(st.data, um.vals)
+		if um.changed {
+			copy(st.data, um.vals)
+		}
+		if um.halted || um.changed {
+			a.memo.invalidate()
+		}
 		if um.halted {
 			st.live = false
 		}
@@ -192,17 +201,26 @@ func (a *lineNode) Step(ctx *simul.Context, inbox []simul.Envelope) {
 		for qi := range a.qbuf {
 			q := &a.qbuf[qi]
 			mine := a.memo.partial(q, a.liveData, int(st.liveIdx))
-			a.rbuf = append(a.rbuf, q.Agg.Join(mine, secondary.vals[qi]))
+			a.rbuf = append(a.rbuf, opJoin(opOf(q.Agg), q.Agg, mine, secondary.vals[qi]))
 		}
 	}
 	// Pass 2: run the updates and ship the new data to the secondaries.
+	// msg.vals still holds the Data shipped last round, so comparing it
+	// with the updated Data tells the mirror whether to copy and the memo
+	// whether its epoch must advance.
 	for i := range a.states {
 		st := &a.states[i]
 		if !st.live || !st.primary {
 			continue
 		}
 		halt, output := st.m.Update(st.info, t, st.data, a.rbuf[st.resOff:st.resOff+st.resLen])
-		copy(st.msg.vals, st.data)
+		st.msg.changed = !slices.Equal(st.data, st.msg.vals)
+		if st.msg.changed {
+			copy(st.msg.vals, st.data)
+		}
+		if halt || st.msg.changed {
+			a.memo.invalidate()
+		}
 		st.msg.halted = halt
 		ctx.SendNbr(i, &st.msg)
 		if halt {
@@ -277,6 +295,11 @@ func buildLineStates(g *graph.Graph, seed uint64, build func(edgeID int) Machine
 			}
 			off += f
 			st.m.Init(st.info, st.data)
+			// A primary's update payload starts as its initial Data, the
+			// baseline RunLine's change check compares the first Update to.
+			if st.primary {
+				copy(st.msg.vals, st.data)
+			}
 		}
 	}
 	return states, nil
@@ -341,6 +364,7 @@ func RunLine(g *graph.Graph, cfg simul.Config, build func(edgeID int) Machine) (
 		}
 		memo.Hits += nodes[v].memo.hits
 		memo.Misses += nodes[v].memo.misses
+		memo.FoldReuse += nodes[v].memo.reuse
 	}
 	return &Result{
 		Outputs:       outputs,

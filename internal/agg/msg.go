@@ -17,9 +17,15 @@ import (
 
 // dataMsg carries a virtual node's published Data to a neighbor under
 // RunDirect. fields is a snapshot copy (an arena view), because the live Data
-// vector keeps mutating while receivers hold the message.
+// vector keeps mutating while receivers hold the message. version is the
+// sender's Data version: it grows by one whenever the snapshot differs from
+// the sender's previous broadcast (and on round 0), and never otherwise, so
+// two messages from one sender with equal versions carry equal Data. It is
+// simulator bookkeeping for the receivers' results caches (a real receiver
+// could learn the same by comparing Data), so Bits does not meter it.
 type dataMsg struct {
-	fields Data
+	fields  Data
+	version uint64
 }
 
 func (m *dataMsg) Bits() int { return m.fields.Bits() }
@@ -37,8 +43,12 @@ const (
 type lineMsg struct {
 	vals   []int64
 	kind   uint8
-	halted bool  // msgUpdate only
-	edgeID int32 // msgRelay only
+	halted bool // msgUpdate only
+	// changed (msgUpdate, RunLine only) tells the mirror whether vals
+	// differs from the previous update. Like dataMsg.version it is
+	// simulator bookkeeping, not metered.
+	changed bool
+	edgeID  int32 // msgRelay only
 }
 
 func (m *lineMsg) Bits() int {

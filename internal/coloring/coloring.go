@@ -43,8 +43,8 @@ type Result struct {
 	// real network rounds (they differ by 2× for the line runtime).
 	VirtualRounds int
 	Metrics       simul.Metrics
-	// Memo carries the line runtime's exchange-folding hit/miss counts
-	// (zero for the node-level colorings).
+	// Memo carries the fold telemetry (agg.MemoStats); hits and misses
+	// are zero for the node-level colorings.
 	Memo agg.MemoStats
 }
 
@@ -160,13 +160,6 @@ func (m *paletteMachine) Update(info *agg.NodeInfo, t int, data agg.Data, result
 	}
 	data[1] = int64(m.free[info.Rand.Intn(len(m.free))])
 	return false, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RandomGreedy colors g with at most ∆+1 colors in O(log n) rounds w.h.p.

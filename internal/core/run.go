@@ -22,8 +22,9 @@ type MaxISResult struct {
 	// (Algorithm 3 only), reported separately per DESIGN.md §3.
 	ColoringRounds int
 	Metrics        simul.Metrics
-	// Memo totals the line runtime's exchange-folding hit/miss counts over
-	// every phase (zero for the direct runtime).
+	// Memo totals the fold telemetry over every phase: the line runtime's
+	// exchange-folding hit/miss counts (zero for the direct runtime) and
+	// the folds reused across rounds.
 	Memo agg.MemoStats
 }
 
@@ -36,8 +37,8 @@ type MatchingResult struct {
 	VirtualRounds  int
 	ColoringRounds int
 	Metrics        simul.Metrics
-	// Memo totals the exchange-folding memo's hit/miss counts over every
-	// phase of the line simulation.
+	// Memo totals the exchange-folding memo's hit/miss counts and the folds
+	// reused across rounds over every phase of the line simulation.
 	Memo agg.MemoStats
 }
 
@@ -126,13 +127,6 @@ func buildMaxISResult(g *graph.Graph, res *agg.Result, window int) (*MaxISResult
 		}
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // DistributedMWM2 computes a 2-approximate maximum weight matching by

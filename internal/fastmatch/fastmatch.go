@@ -44,7 +44,7 @@ type Result struct {
 	VirtualRounds int
 	// Metrics totals the engine costs over every sub-run the algorithm
 	// performed (all buckets and refinement iterations for MWM2Eps); Memo
-	// totals the line runtime's exchange-folding hit/miss counts.
+	// totals the fold telemetry (agg.MemoStats).
 	Metrics simul.Metrics
 	Memo    agg.MemoStats
 }

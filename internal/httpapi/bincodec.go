@@ -69,6 +69,7 @@ func appendResult(buf []byte, r *JobResult) []byte {
 		}
 		buf = binary.AppendUvarint(buf, t.MemoHits)
 		buf = binary.AppendUvarint(buf, t.MemoMisses)
+		buf = binary.AppendUvarint(buf, t.FoldReuse)
 	}
 	return buf
 }
@@ -201,6 +202,7 @@ func readResult(r *wireReader, hasTrace bool) *JobResult {
 			CompactMoves:      r.varint("trace compact moves"),
 			MemoHits:          r.uvarint("trace memo hits"),
 			MemoMisses:        r.uvarint("trace memo misses"),
+			FoldReuse:         r.uvarint("trace fold reuse"),
 		}
 	}
 	return res

@@ -50,6 +50,7 @@ func writePromEngine(w http.ResponseWriter, m service.Metrics, bm service.BatchM
 	p.Counter("repro_engine_bits_total", "Total payload bits across live runs.", float64(t.BitsTotal))
 	p.Counter("repro_engine_memo_hits_total", "Exchange-folding memo hits across live runs.", float64(t.MemoHits))
 	p.Counter("repro_engine_memo_misses_total", "Exchange-folding memo misses across live runs.", float64(t.MemoMisses))
+	p.Counter("repro_engine_fold_reuse_total", "Folds answered from an earlier round across live runs.", float64(t.FoldReuse))
 
 	// Job-service counters.
 	p.Counter("repro_jobs_submitted_total", "Jobs submitted.", float64(m.Submitted))

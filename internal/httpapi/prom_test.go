@@ -88,6 +88,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		"# TYPE repro_engine_rounds histogram",
 		"# TYPE repro_engine_messages_total counter",
 		"# TYPE repro_jobs_completed_total counter",
+		"# TYPE repro_engine_fold_reuse_total counter",
 	} {
 		if !strings.Contains(prom, family) {
 			t.Errorf("prom exposition missing %q", family)
@@ -95,6 +96,10 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 	if strings.Contains(prom, "repro_engine_messages_total 0\n") {
 		t.Error("repro_engine_messages_total still 0 after a live run")
+	}
+	// maxis idles through most of its MIS windows, so some folds repeat.
+	if strings.Contains(prom, "repro_engine_fold_reuse_total 0\n") {
+		t.Error("repro_engine_fold_reuse_total still 0 after a live maxis run")
 	}
 	if !strings.Contains(prom, "repro_engine_rounds_count 1") {
 		t.Errorf("repro_engine_rounds_count should be 1 after one live run:\n%s", prom)

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -406,6 +407,24 @@ func TestWriteJSONNeverTearsA200(t *testing.T) {
 	writeJSON(rr2, http.StatusCreated, map[string]int{"ok": 1})
 	if rr2.Code != http.StatusCreated || !strings.Contains(rr2.Body.String(), `"ok":1`) {
 		t.Fatalf("happy path: %d %q", rr2.Code, rr2.Body.String())
+	}
+}
+
+// TestStreamCellCodecCarriesTrace round-trips a done cell's result with
+// every trace counter set, fold_reuse (the block's last field) included.
+func TestStreamCellCodecCarriesTrace(t *testing.T) {
+	tr := &obs.RoundTrace{Rounds: 9, VirtualRounds: 4, Messages: 120, Bits: 960,
+		PeakRoundMessages: 40, PeakRoundBits: 320, PeakActive: 7, CompactMoves: 3,
+		MemoHits: 11, MemoMisses: 5, FoldReuse: 42}
+	cv, err := DecodeStreamCell(encodeStreamCell(BatchCellView{
+		Index: 1, Graph: "g", Algo: "maxis", State: "done",
+		Result: &JobResult{Kind: "is", Size: 2, Weight: 7, InSet: []bool{true, false, true}, Trace: tr},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.Result == nil || cv.Result.Trace == nil || *cv.Result.Trace != *tr {
+		t.Fatalf("decoded result %+v, want trace %+v", cv.Result, tr)
 	}
 }
 

@@ -226,8 +226,8 @@ type Result struct {
 	Outcomes      []Outcome
 	VirtualRounds int
 	Metrics       simul.Metrics
-	// Memo carries the line runtime's exchange-folding hit/miss counts
-	// (zero under Run, which uses the direct runtime).
+	// Memo carries the fold telemetry (agg.MemoStats); hits and misses
+	// are zero under Run, which uses the direct runtime.
 	Memo agg.MemoStats
 }
 

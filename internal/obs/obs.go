@@ -63,9 +63,11 @@ type RoundTrace struct {
 	PeakActive   int   `json:"peak_active,omitempty"`
 	CompactMoves int64 `json:"compact_moves,omitempty"`
 	// MemoHits/MemoMisses count exchange-folding memo lookups in the agg
-	// runtime (zero for runtimes without a memo).
+	// runtime (zero for runtimes without a memo). FoldReuse counts folds
+	// answered from an earlier round because their inputs were unchanged.
 	MemoHits   uint64 `json:"memo_hits,omitempty"`
 	MemoMisses uint64 `json:"memo_misses,omitempty"`
+	FoldReuse  uint64 `json:"fold_reuse,omitempty"`
 }
 
 // Add folds o into t: counts sum, peaks take the max. Use when one logical
@@ -82,6 +84,7 @@ func (t *RoundTrace) Add(o RoundTrace) {
 	t.CompactMoves += o.CompactMoves
 	t.MemoHits += o.MemoHits
 	t.MemoMisses += o.MemoMisses
+	t.FoldReuse += o.FoldReuse
 }
 
 // NewTraceID returns a fresh 16-hex-char trace ID. IDs are random, not

@@ -27,14 +27,14 @@ func TestSetEnabledRoundTrip(t *testing.T) {
 func TestRoundTraceAdd(t *testing.T) {
 	a := RoundTrace{Rounds: 3, VirtualRounds: 5, Messages: 100, Bits: 800,
 		PeakRoundMessages: 40, PeakRoundBits: 320, PeakActive: 7,
-		CompactMoves: 2, MemoHits: 10, MemoMisses: 4}
+		CompactMoves: 2, MemoHits: 10, MemoMisses: 4, FoldReuse: 9}
 	b := RoundTrace{Rounds: 2, VirtualRounds: 1, Messages: 50, Bits: 400,
 		PeakRoundMessages: 60, PeakRoundBits: 100, PeakActive: 3,
-		CompactMoves: 1, MemoHits: 5, MemoMisses: 6}
+		CompactMoves: 1, MemoHits: 5, MemoMisses: 6, FoldReuse: 2}
 	a.Add(b)
 	want := RoundTrace{Rounds: 5, VirtualRounds: 6, Messages: 150, Bits: 1200,
 		PeakRoundMessages: 60, PeakRoundBits: 320, PeakActive: 7,
-		CompactMoves: 3, MemoHits: 15, MemoMisses: 10}
+		CompactMoves: 3, MemoHits: 15, MemoMisses: 10, FoldReuse: 11}
 	if a != want {
 		t.Fatalf("Add: got %+v, want %+v", a, want)
 	}

@@ -280,6 +280,7 @@ func traceOf(virtual int, m simul.Metrics, memo agg.MemoStats) *obs.RoundTrace {
 		CompactMoves:      int64(m.CompactMoves),
 		MemoHits:          memo.Hits,
 		MemoMisses:        memo.Misses,
+		FoldReuse:         memo.FoldReuse,
 	}
 }
 

@@ -87,6 +87,7 @@ type counters struct {
 	engineBitsT    uint64 // Σ payload bits
 	memoHits       uint64
 	memoMisses     uint64
+	foldReuse      uint64
 }
 
 // recordEngine folds one live run's trace into the engine aggregates.
@@ -106,6 +107,7 @@ func (c *counters) recordEngine(t *obs.RoundTrace) {
 	c.engineBitsT += uint64(t.Bits)
 	c.memoHits += t.MemoHits
 	c.memoMisses += t.MemoMisses
+	c.foldReuse += t.FoldReuse
 }
 
 // EngineTelemetry is a snapshot of the engine-telemetry aggregates, consumed
@@ -123,6 +125,7 @@ type EngineTelemetry struct {
 	BitsTotal     uint64
 	MemoHits      uint64
 	MemoMisses    uint64
+	FoldReuse     uint64
 }
 
 func (c *counters) engineTelemetry() EngineTelemetry {
@@ -133,6 +136,7 @@ func (c *counters) engineTelemetry() EngineTelemetry {
 		BitsTotal:     c.engineBitsT,
 		MemoHits:      c.memoHits,
 		MemoMisses:    c.memoMisses,
+		FoldReuse:     c.foldReuse,
 	}
 	if c.engineRounds != nil {
 		t.Rounds = c.engineRounds.Snapshot()

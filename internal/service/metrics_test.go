@@ -60,8 +60,8 @@ func TestPercentilesWindowWrap(t *testing.T) {
 func TestRecordEngineAggregates(t *testing.T) {
 	var c counters
 	c.recordEngine(nil) // cached completions carry no trace; must be a no-op
-	c.recordEngine(&obs.RoundTrace{Rounds: 3, Messages: 120, Bits: 960, MemoHits: 2, MemoMisses: 1})
-	c.recordEngine(&obs.RoundTrace{Rounds: 5, Messages: 80, Bits: 640, MemoHits: 1})
+	c.recordEngine(&obs.RoundTrace{Rounds: 3, Messages: 120, Bits: 960, MemoHits: 2, MemoMisses: 1, FoldReuse: 7})
+	c.recordEngine(&obs.RoundTrace{Rounds: 5, Messages: 80, Bits: 640, MemoHits: 1, FoldReuse: 4})
 	tele := c.engineTelemetry()
 	if tele.Observed != 2 {
 		t.Fatalf("observed = %d, want 2", tele.Observed)
@@ -69,7 +69,7 @@ func TestRecordEngineAggregates(t *testing.T) {
 	if tele.RoundsTotal != 8 || tele.MessagesTotal != 200 || tele.BitsTotal != 1600 {
 		t.Fatalf("totals = %+v", tele)
 	}
-	if tele.MemoHits != 3 || tele.MemoMisses != 1 {
+	if tele.MemoHits != 3 || tele.MemoMisses != 1 || tele.FoldReuse != 11 {
 		t.Fatalf("memo totals = %+v", tele)
 	}
 	if tele.Rounds.Count != 2 || tele.Messages.Count != 2 {
